@@ -12,10 +12,12 @@ transitive reduction).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from repro.graphs.digraph import DiGraph
-from repro.graphs.transitive import transitive_reduction_edges
+from repro.errors import CycleError
+from repro.graphs.digraph import DiGraph, Node
+from repro.graphs.transitive import transitive_reduction_packed
+from repro.graphs.traversal import topological_sort
 from repro.logs.event_log import EventLog
 
 Edge = Tuple[str, str]
@@ -104,35 +106,57 @@ def edge_coverage(graph: DiGraph, log: EventLog) -> CoverageReport:
 
     ``graph`` may be a purported model's graph or a mined graph; edges
     between activities the log never performs report zero everywhere.
+
+    Each execution visits only the model edges leaving its activities
+    and reduces the ones it orders (Algorithm 4) under the model's one
+    topological rank.  A cyclic model has none: each reduction then
+    checks its own edges and raises :class:`~repro.errors.CycleError`
+    when an execution orders a cycle.
     """
     log.require_non_empty()
-    edge_set = graph.edge_set()
-    required: Dict[Edge, int] = {edge: 0 for edge in edge_set}
-    compatible: Dict[Edge, int] = {edge: 0 for edge in edge_set}
-    co_present: Dict[Edge, int] = {edge: 0 for edge in edge_set}
+    nodes = list(graph.nodes())
+    n = len(nodes)
+    index = {node: i for i, node in enumerate(nodes)}
+    # Model edges leaving each activity, as (target, packed code).
+    out: Dict[Node, List[Tuple[Node, int]]] = {}
+    for source, target in graph.edges():
+        code = index[source] * n + index[target]
+        out.setdefault(source, []).append((target, code))
+    try:
+        rank: Optional[Dict[int, int]] = {
+            index[node]: position
+            for position, node in enumerate(topological_sort(graph))
+        }
+    except CycleError:
+        rank = None
+    codes = [code for targets in out.values() for _, code in targets]
+    required = dict.fromkeys(codes, 0)
+    compatible = dict.fromkeys(codes, 0)
+    co_present = dict.fromkeys(codes, 0)
 
     for execution in log:
         activities = execution.activities
+        # Throwaway on purpose: the cached ordered_pair_set() would keep
+        # every execution's pairs alive for the rest of the run.
         pairs = set(execution.ordered_pairs())
-        induced_edges = pairs & edge_set
-        needed = transitive_reduction_edges(
-            DiGraph(nodes=activities, edges=induced_edges)
-        )
-        for edge in edge_set:
-            source, target = edge
-            if source in activities and target in activities:
-                co_present[edge] += 1
-            if edge in pairs:
-                compatible[edge] += 1
-            if edge in needed:
-                required[edge] += 1
+        induced: List[int] = []
+        for source in activities:
+            for target, code in out.get(source, ()):
+                if target in activities:
+                    co_present[code] += 1
+                    if (source, target) in pairs:
+                        compatible[code] += 1
+                        induced.append(code)
+        for code in transitive_reduction_packed(induced, n, rank):
+            required[code] += 1
 
     usage = {
-        edge: EdgeUsage(
-            required=required[edge],
-            compatible=compatible[edge],
-            co_present=co_present[edge],
+        (source, target): EdgeUsage(
+            required=required[code],
+            compatible=compatible[code],
+            co_present=co_present[code],
         )
-        for edge in edge_set
+        for source, targets in out.items()
+        for target, code in targets
     }
     return CoverageReport(usage=usage, executions=len(log))

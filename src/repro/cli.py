@@ -71,7 +71,7 @@ from repro.core.miner import (
 from repro.datasets.flowmark import FLOWMARK_PROCESS_NAMES, flowmark_dataset
 from repro.datasets.synthetic import SyntheticConfig, synthetic_dataset
 from repro.engine.simulator import SimulationConfig, WorkflowSimulator
-from repro.errors import EmptyLogError, MiningError, ReproError
+from repro.errors import CycleError, EmptyLogError, MiningError, ReproError
 from repro.lint import LintConfig, Severity, lint_model
 from repro.lint.emitters import FORMATS as LINT_FORMATS
 from repro.lint.emitters import model_line_map, render
@@ -1044,8 +1044,6 @@ def _cmd_mine_stream(args: argparse.Namespace) -> int:
             f"({state.variant_count} variants) to {args.state_out}",
             file=sys.stderr,
         )
-    if args.profile:
-        _print_profile(trace)
     print(f"# algorithm: {algorithm}")
     _print_graph(graph, args, name=report.process_name or "mined")
     result = MiningResult(
@@ -1062,6 +1060,8 @@ def _cmd_mine_stream(args: argparse.Namespace) -> int:
         recorder,
         process_name=report.process_name,
     )
+    if args.profile:
+        _print_profile(trace, recorder)
     _write_metrics(
         args,
         recorder,
@@ -1244,8 +1244,6 @@ def _cmd_mine(args: argparse.Namespace) -> int:
         kernel=args.kernel,
     )
     result = miner.mine(log)
-    if args.profile:
-        _print_profile(result.trace)
     graph = result.graph
     print(f"# algorithm: {result.algorithm}")
     if getattr(args, "exact_minimize", False):
@@ -1262,6 +1260,9 @@ def _cmd_mine(args: argparse.Namespace) -> int:
     verified = args.no_verify or _verify_mined(
         result, log, args.threshold, recorder
     )
+    # After verification, so the profile includes its time.
+    if args.profile:
+        _print_profile(result.trace, recorder)
     _write_metrics(
         args,
         recorder,
@@ -1283,11 +1284,12 @@ def _cmd_mine(args: argparse.Namespace) -> int:
     return 3 if result_ingest.report.dropped else 0
 
 
-def _print_profile(trace) -> None:
+def _print_profile(trace, recorder) -> None:
     """Emit ``--profile`` throughput diagnostics to stderr.
 
-    Algorithm 1 has no staged trace, so an empty trace prints only the
-    header line.
+    Algorithm 1 has no staged trace, so it prints no stage lines.  The
+    ``verify`` lines (the ``lint`` span and its ``lint/coverage``
+    child) appear when the run verified its model.
     """
     print("profile:", file=sys.stderr)
     if trace.execution_count:
@@ -1315,8 +1317,9 @@ def _print_profile(trace) -> None:
         )
     # Sub-spans (e.g. prepare's parse/intern/pairs split) live on the
     # recorder, keyed under the parent stage's mine/<stage>/ prefix.
+    spans = getattr(recorder, "spans", ())
     sub_spans: Dict[str, List[Tuple[str, float]]] = {}
-    for span in getattr(trace.recorder, "spans", ()):
+    for span in spans:
         parts = span.name.split("/")
         if len(parts) == 3 and parts[0] == "mine":
             sub_spans.setdefault(parts[1], []).append(
@@ -1327,6 +1330,17 @@ def _print_profile(trace) -> None:
         for name, wall in sub_spans.get(stage, ()):
             print(
                 f"    {stage}/{name}: {wall * 1000:.1f} ms",
+                file=sys.stderr,
+            )
+    verify_labels = {
+        "lint": "  verify",
+        "lint/coverage": "    verify/coverage",
+    }
+    for span in spans:
+        if span.name in verify_labels:
+            print(
+                f"{verify_labels[span.name]}: "
+                f"{span.wall_seconds * 1000:.1f} ms",
                 file=sys.stderr,
             )
 
@@ -1480,7 +1494,18 @@ def _cmd_coverage(args: argparse.Namespace) -> int:
 
     model = load_model(args.model)
     log = read_log_file(args.log)
-    report = edge_coverage(model.graph, log)
+    try:
+        report = edge_coverage(model.graph, log)
+    except CycleError:
+        from repro.graphs.traversal import find_cycle
+
+        cycle = " -> ".join(map(str, find_cycle(model.graph) or ()))
+        print(
+            "error: required-edge coverage needs an acyclic model; "
+            f"{args.model} has the cycle {cycle}",
+            file=sys.stderr,
+        )
+        return 1
     print(f"# model: {model.name} ({args.model})")
     print(f"# log: {args.log}")
     print(report.report())

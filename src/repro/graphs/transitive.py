@@ -19,6 +19,7 @@ from typing import (
     Dict,
     FrozenSet,
     Hashable,
+    Iterable,
     Iterator,
     List,
     Optional,
@@ -242,7 +243,7 @@ def transitive_reduction_edges(graph: DiGraph) -> Set[Edge]:
 
 
 def transitive_reduction_packed(
-    codes: FrozenSet[int],
+    codes: Iterable[int],
     n: int,
     rank: Optional[Dict[int, int]] = None,
 ) -> FrozenSet[int]:
@@ -263,7 +264,7 @@ def transitive_reduction_packed(
     Parameters
     ----------
     codes:
-        Packed edges.
+        Packed edges, each at most once (iterated once).
     n:
         The packing modulus (vertex-id space size).
     rank:

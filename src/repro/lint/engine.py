@@ -114,7 +114,8 @@ def lint_model(
     Log-dependent rules (``requires_log=True``) are silently skipped
     without a log; everything else about rule selection is governed by
     ``config`` (see :class:`~repro.lint.config.LintConfig`).  An
-    enabled ``recorder`` gets a ``lint`` span plus the
+    enabled ``recorder`` gets a ``lint`` span (with a ``lint/coverage``
+    child when a rule needs the log's edge coverage) plus the
     ``repro_lint_findings_total{severity=...}`` /
     ``repro_lint_rules_checked_total`` counters.
 
@@ -133,7 +134,7 @@ def lint_model(
     """
     config = config or LintConfig()
     obs = resolve_recorder(recorder)
-    context = LintContext(model, log=log, config=config)
+    context = LintContext(model, log=log, config=config, recorder=obs)
     diagnostics: List[Diagnostic] = []
     checked: List[str] = []
     with obs.span("lint", model=model.name):

@@ -36,6 +36,7 @@ from repro.lint.config import LintConfig
 from repro.lint.diagnostics import Finding, Severity
 from repro.logs.event_log import EventLog
 from repro.model.process import ProcessModel
+from repro.obs.recorder import Recorder, resolve_recorder
 
 Edge = Tuple[str, str]
 RuleCheck = Callable[["LintContext"], Iterable[Finding]]
@@ -53,6 +54,9 @@ class LintContext:
         rules are skipped without a log).
     config:
         The active :class:`~repro.lint.config.LintConfig`.
+    recorder:
+        Observability sink; the shared coverage pass runs under a
+        ``lint/coverage`` span.
     graph:
         One shared copy of the model's control-flow graph.
     """
@@ -62,10 +66,12 @@ class LintContext:
         model: ProcessModel,
         log: Optional[EventLog] = None,
         config: Optional[LintConfig] = None,
+        recorder: Optional[Recorder] = None,
     ) -> None:
         self.model = model
         self.log = log
         self.config = config or LintConfig()
+        self.recorder = resolve_recorder(recorder)
         self.graph: DiGraph = model.graph
         self._cycle: Optional[List[str]] = None
         self._cycle_computed = False
@@ -142,7 +148,8 @@ class LintContext:
                 # engine.
                 from repro.analysis.coverage import edge_coverage
 
-                self._coverage = edge_coverage(self.graph, self.log)
+                with self.recorder.span("lint/coverage"):
+                    self._coverage = edge_coverage(self.graph, self.log)
         return self._coverage
 
     @property

@@ -50,6 +50,7 @@ class TestMineMetrics:
             "mine/step5_reduce",
             "mine/step6_assemble",
             "lint",
+            "lint/coverage",
         ):
             assert stage in names, f"missing span {stage}"
 
@@ -77,6 +78,13 @@ class TestMineMetrics:
             for record in records["span"]
             if record["name"].startswith("mine/")
         }
+        # Verification reports its lint spans under the verify label.
+        manifest_stages |= {
+            "verify" + record["name"].removeprefix("lint")
+            for record in records["span"]
+            if record["name"] in ("lint", "lint/coverage")
+        }
+        assert {"verify", "verify/coverage"} <= profile_stages
         assert profile_stages <= manifest_stages
 
     def test_prom_output_parses(self, tmp_path, capsys):

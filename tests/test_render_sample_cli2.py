@@ -3,8 +3,10 @@
 import pytest
 
 from repro.cli import main
+from repro.core.cyclic import mine_cyclic
 from repro.graphs.digraph import DiGraph
 from repro.graphs.render import to_layered_ascii
+from repro.logs.codec import write_log_file
 from repro.logs.event_log import EventLog
 from repro.model.builder import ProcessBuilder
 from repro.model.serialize import save_model
@@ -116,3 +118,29 @@ class TestNewCliFlags:
         assert "edge coverage:" in out
         # A->C is compatible but never required.
         assert "required=0" in out
+
+    def test_coverage_on_cyclic_model_names_the_cycle(
+        self, tmp_path, capsys
+    ):
+        log = EventLog.from_sequences(
+            [
+                ["Submit", "Build", "Test", "Release"],
+                ["Submit", "Build", "Test", "Repair", "Build", "Test",
+                 "Release"],
+            ],
+            process_name="rework",
+        )
+        builder = ProcessBuilder("rework")
+        for source, target in mine_cyclic(log).edges():
+            builder.edge(source, target)
+        model_path = tmp_path / "rework.pm"
+        save_model(builder.build(), model_path)
+        log_path = tmp_path / "rework.log"
+        write_log_file(log, log_path)
+        assert main(["coverage", str(model_path), str(log_path)]) == 1
+        err = capsys.readouterr().err
+        assert (
+            "error: required-edge coverage needs an acyclic model; "
+            f"{model_path} has the cycle "
+        ) in err
+        assert "Repair -> Build" in err
