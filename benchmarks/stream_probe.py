@@ -129,12 +129,12 @@ def probe(path: str, mode: str, jobs: int = 1, limit_mb: int = 0) -> dict:
         executions = len(log)
     elif mode == "stream":
         if path.endswith(".jsonl"):
-            # The batched fast fold (block scan + signature memo) is
-            # the production out-of-core path for JSON lines; the tab
-            # codec still streams record by record.
+            # The fused block fold is the production out-of-core path
+            # for JSON lines (``mine --stream``); the tab codec still
+            # streams execution by execution.
             from repro.logs.jsonl import fold_log_jsonl_file
 
-            state = fold_log_jsonl_file(path)
+            state = fold_log_jsonl_file(path).state
         else:
             from repro.core.state import fold_executions
             from repro.logs.codec import iter_ingest_log_file

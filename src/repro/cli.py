@@ -878,14 +878,23 @@ def _cmd_mine_stream(args: argparse.Namespace) -> int:
     crashed workers are retried; chunks that exhaust the budget are
     quarantined as ``poisoned-chunk`` records and the mine continues
     degraded).
+
+    Otherwise a ``.jsonl`` log folds through the fused block fold
+    (:func:`repro.logs.jsonl.fold_log_jsonl_file`), which never builds
+    an execution for a clean trace; journaled, parallel
+    (``--jobs``/``REPRO_JOBS`` > 1) and supervised folds, and the text
+    codec, keep the execution iterator they need.
     """
     from repro.core.cyclic import merge_instances
     from repro.core.general_dag import MiningTrace
-    from repro.core.parallel import RetryPolicy
+    from repro.core.parallel import RetryPolicy, resolve_jobs
     from repro.core.state import fold_executions, save_state
     from repro.logs.codec import iter_ingest_log_file
     from repro.logs.ingest import REASON_POISONED_CHUNK
-    from repro.logs.jsonl import iter_ingest_log_jsonl_file
+    from repro.logs.jsonl import (
+        fold_log_jsonl_file,
+        iter_ingest_log_jsonl_file,
+    )
 
     if args.algorithm == ALGORITHM_SPECIAL:
         raise MiningError(
@@ -962,33 +971,60 @@ def _cmd_mine_stream(args: argparse.Namespace) -> int:
             ),
         )
 
-    with Quarantine(args.quarantine) as quarantine:
-        executions = reader(
-            args.log,
-            policy=args.on_error,
-            limits=limits,
-            quarantine=quarantine,
-            report=report,
-            window=args.stream_window or DEFAULT_STREAM_WINDOW,
-            journal=session.journal if session is not None else None,
-            journal_skip=journal_skip,
-        )
-
-        def tracked():
-            for execution in executions:
-                if len(execution):
-                    firsts.add(execution.first_activity)
-                    lasts.add(execution.last_activity)
-                yield execution
-
-        def on_poisoned(poisoned, reason: str) -> None:
-            count = quarantine.add_poisoned_executions(
-                poisoned, reason
+    window = args.stream_window or DEFAULT_STREAM_WINDOW
+    line_memo = None
+    with Quarantine(args.quarantine) as quarantine, recorder.span(
+        "stream_fold", policy=args.on_error
+    ):
+        if (
+            args.log.endswith(".jsonl")
+            and session is None
+            and retry is None
+            and resolve_jobs(args.jobs) <= 1
+        ):
+            folded = fold_log_jsonl_file(
+                args.log,
+                policy=args.on_error,
+                limits=limits,
+                quarantine=quarantine,
+                report=report,
+                window=window,
+                labelled=labelled,
+                recorder=recorder,
             )
-            report.quarantined_executions += count
-            report.reasons[REASON_POISONED_CHUNK] += count
+            state = folded.state
+            firsts = folded.first_activities
+            lasts = folded.last_activities
+            line_memo = (folded.line_memo_hits, folded.line_memo_misses)
+            # Nothing but ``state`` may hold the labelled state:
+            # to_plain() below must be able to release it.
+            del folded
+        else:
+            executions = reader(
+                args.log,
+                policy=args.on_error,
+                limits=limits,
+                quarantine=quarantine,
+                report=report,
+                window=window,
+                journal=session.journal if session is not None else None,
+                journal_skip=journal_skip,
+            )
 
-        with recorder.span("stream_fold", policy=args.on_error):
+            def tracked():
+                for execution in executions:
+                    if len(execution):
+                        firsts.add(execution.first_activity)
+                        lasts.add(execution.last_activity)
+                    yield execution
+
+            def on_poisoned(poisoned, reason: str) -> None:
+                count = quarantine.add_poisoned_executions(
+                    poisoned, reason
+                )
+                report.quarantined_executions += count
+                report.reasons[REASON_POISONED_CHUNK] += count
+
             if session is not None:
                 # Durable path: serial write-ahead fold.  Already-
                 # covered executions still flow through tracked() so
@@ -1018,6 +1054,19 @@ def _cmd_mine_stream(args: argparse.Namespace) -> int:
             )
     if state.execution_count == 0:
         raise EmptyLogError("the log contains no executions")
+    # Fold-stage attribution for --profile, read before to_plain()
+    # replaces the state and its memo counters.
+    fold_profile = (
+        f"  stream: {report.accepted_records} records, "
+        f"{state.execution_count} executions, variant memo "
+        f"{state.memo_hits} hits / {state.memo_misses} misses"
+    )
+    if line_memo is not None:
+        scanned = sum(line_memo)
+        fold_profile += (
+            f", line memo hit ratio "
+            f"{line_memo[0] / scanned if scanned else 0.0:.2f}"
+        )
 
     if args.algorithm == ALGORITHM_CYCLIC or (
         labelled and state.has_repetition()
@@ -1061,7 +1110,7 @@ def _cmd_mine_stream(args: argparse.Namespace) -> int:
         process_name=report.process_name,
     )
     if args.profile:
-        _print_profile(trace, recorder)
+        _print_profile(trace, recorder, fold_profile)
     _write_metrics(
         args,
         recorder,
@@ -1284,14 +1333,17 @@ def _cmd_mine(args: argparse.Namespace) -> int:
     return 3 if result_ingest.report.dropped else 0
 
 
-def _print_profile(trace, recorder) -> None:
+def _print_profile(trace, recorder, fold: Optional[str] = None) -> None:
     """Emit ``--profile`` throughput diagnostics to stderr.
 
     Algorithm 1 has no staged trace, so it prints no stage lines.  The
     ``verify`` lines (the ``lint`` span and its ``lint/coverage``
-    child) appear when the run verified its model.
+    child) appear when the run verified its model.  ``mine --stream``
+    passes its ``fold`` line: records, executions and memo traffic.
     """
     print("profile:", file=sys.stderr)
+    if fold is not None:
+        print(fold, file=sys.stderr)
     if trace.execution_count:
         print(
             f"  executions: {trace.execution_count}  "

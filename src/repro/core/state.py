@@ -66,6 +66,7 @@ from typing import (
     Iterator,
     List,
     Optional,
+    Sequence,
     Tuple,
     Union,
 )
@@ -357,6 +358,41 @@ class MiningState:
             self._overlap_counts.update(dict.fromkeys(overlaps, count))
         self._execution_count += count
 
+    def _pack_sequential(self, ids: List[int]) -> VariantKey:
+        """Pack a sequential trace from its interned id sequence.
+
+        A chain of instances (each ending before the next starts) orders
+        every earlier vertex before every later one, so the pair set is
+        the suffix-set walk over the ids; a sequential trace has no
+        overlaps.  Capacity must already cover every id.
+        """
+        cap = self._cap
+        vertices = frozenset(ids)
+        if len(vertices) == len(ids):
+            # No repeated activity (the overwhelming majority): the
+            # forward pairs are exactly all (i, j), i < j, and no
+            # self-pair can arise, so one pass over ``combinations``
+            # replaces the suffix-set walk.
+            return (
+                vertices,
+                frozenset([a * cap + b for a, b in combinations(ids, 2)]),
+                frozenset(),
+            )
+        pairs: set = set()
+        later: set = set()
+        for vertex_id in reversed(ids):
+            if later:
+                base = vertex_id * cap
+                pairs.update(base + other for other in later)
+            later.add(vertex_id)
+        if not self.labelled:
+            # The suffix pass adds (a, a) when an activity repeats;
+            # same-label pairs belong only to the relabelled view.
+            pairs.difference_update(
+                vertex_id * cap + vertex_id for vertex_id in later
+            )
+        return (vertices, frozenset(pairs), frozenset())
+
     def _pack_execution(self, execution: Execution) -> VariantKey:
         """Extract one execution's packed ``(vertices, pairs, overlaps)``.
 
@@ -373,35 +409,8 @@ class MiningState:
         intern = self._intern
         ids = [intern(label) for label in sequence]
         self._ensure_capacity()
-        cap = self._cap
-        vertices = frozenset(ids)
         if execution.is_sequential():
-            if len(vertices) == len(ids):
-                # No repeated activity (the overwhelming majority):
-                # the forward pairs are exactly all (i, j), i < j, and
-                # no self-pair can arise, so one pass over
-                # ``combinations`` replaces the suffix-set walk.
-                return (
-                    vertices,
-                    frozenset(
-                        [a * cap + b for a, b in combinations(ids, 2)]
-                    ),
-                    frozenset(),
-                )
-            pairs: set = set()
-            later: set = set()
-            for vertex_id in reversed(ids):
-                if later:
-                    base = vertex_id * cap
-                    pairs.update(base + other for other in later)
-                later.add(vertex_id)
-            if not labelled:
-                # The suffix pass adds (a, a) when an activity repeats;
-                # same-label pairs belong only to the relabelled view.
-                pairs.difference_update(
-                    vertex_id * cap + vertex_id for vertex_id in later
-                )
-            return (vertices, frozenset(pairs), frozenset())
+            return self._pack_sequential(ids)
         if labelled:
             ordered = execution.labelled_ordered_pair_set()
             overlapping = execution.labelled_overlapping_pair_set()
@@ -409,45 +418,72 @@ class MiningState:
             ordered = execution.ordered_pair_set()
             overlapping = execution.overlapping_pair_set()
         index = self._index
+        cap = self._cap
         return (
-            vertices,
+            frozenset(ids),
             frozenset(index[u] * cap + index[v] for u, v in ordered),
             frozenset(
                 index[u] * cap + index[v] for u, v in overlapping
             ),
         )
 
-    def pack_sequence(
-        self, sequence: Sequence[str]
-    ) -> Optional[VariantKey]:
-        """Pack a strictly-sequential, repeat-free activity sequence.
+    def _remember(self, ids: Tuple[int, ...], variant: VariantKey) -> None:
+        memo = self._prepared_memo
+        memo[ids] = variant
+        if len(memo) > self._memo_size:
+            memo.popitem(last=False)
+            self.memo_evictions += 1
 
-        The zero-Execution packing entry for the fused ingest path
-        (:mod:`repro.logs.fastfold`): when the caller has already
-        proven its bucket is a clean sequential trace, the variant
-        packs straight from the activity sequence.  Returns ``None``
-        for labelled states or sequences with a repeated activity —
-        those need the relabelling / self-pair rules that
-        :meth:`_pack_execution` applies — so the caller can fall back
-        to building the execution.  The returned variant is identical
-        to packing the equivalent execution.
+    def fold_sequence(self, sequence: Sequence[str]) -> None:
+        """Fold one sequential execution given by its activity sequence.
+
+        The zero-:class:`Execution` entry of the fused ingest path
+        (:mod:`repro.logs.fastfold`): a caller that has proven its
+        bucket is a chain — each activity instance ends before the next
+        starts — folds the activity sequence directly.  The labelled
+        view relabels occurrences (``A, A -> (A,1), (A,2)``) and the
+        plain view drops the self-pairs a repeated activity implies, so
+        the folded variant, the prepared-variant memo traffic and every
+        counter are exactly those of :meth:`update` on the equivalent
+        execution.
         """
+        labels: Sequence[Vertex] = sequence
         if self.labelled:
-            return None
+            if len(set(sequence)) == len(sequence):
+                labels = [(activity, 1) for activity in sequence]
+            else:
+                seen: Dict[str, int] = {}
+                relabelled: List[Vertex] = []
+                for activity in sequence:
+                    occurrence = seen[activity] = (
+                        seen.get(activity, 0) + 1
+                    )
+                    relabelled.append((activity, occurrence))
+                labels = relabelled
+        memo_size = self._memo_size
+        if memo_size:
+            index = self._index
+            try:
+                ids = tuple([index[label] for label in labels])
+            except KeyError:
+                pass  # Unseen label: certainly not memoized.
+            else:
+                variant = self._prepared_memo.get(ids)
+                if variant is not None:
+                    self.memo_hits += 1
+                    self._prepared_memo.move_to_end(ids)
+                    self._fold(variant, 1)
+                    return
+            self.memo_misses += 1
         intern = self._intern
-        ids = [intern(label) for label in sequence]
+        id_list = [intern(label) for label in labels]
         self._ensure_capacity()
-        cap = self._cap
-        vertices = frozenset(ids)
-        if len(vertices) != len(ids):
-            return None
-        return (
-            vertices,
-            frozenset([a * cap + b for a, b in combinations(ids, 2)]),
-            frozenset(),
-        )
+        variant = self._pack_sequential(id_list)
+        self._fold(variant, 1)
+        if memo_size:
+            self._remember(tuple(id_list), variant)
 
-    def update(self, execution: Execution) -> None:
+    def update(self, execution: Union[Execution, List[str]]) -> None:
         """Fold one execution into the state.
 
         Amortized ``O(trace length)`` for repeated trace variants, two
@@ -456,7 +492,15 @@ class MiningState:
         and the per-state trace cache skips re-extraction for exact
         instance-level repeats.  Either way the cost is independent of
         how many executions were folded before.
+
+        A plain list of activity names stands for a proven-sequential
+        execution and folds through :meth:`fold_sequence` — the fused
+        ingest path hands its clean buckets in that way, so every
+        execution a stream folds passes through this one entry.
         """
+        if type(execution) is list:
+            self.fold_sequence(execution)
+            return
         memo_size = self._memo_size
         ids: Optional[Tuple[int, ...]] = None
         if memo_size:
@@ -496,11 +540,7 @@ class MiningState:
                         else execution.sequence
                     )
                 )
-            memo = self._prepared_memo
-            memo[ids] = variant
-            if len(memo) > memo_size:
-                memo.popitem(last=False)
-                self.memo_evictions += 1
+            self._remember(ids, variant)
 
     def add_variant(
         self,
@@ -1196,10 +1236,7 @@ def fold_executions(
             "state.labelled does not match the requested labelled flag"
         )
     jobs = resolve_jobs(jobs)
-    before = state.execution_count
-    memo_before = (
-        state.memo_hits, state.memo_misses, state.memo_evictions
-    )
+    before = fold_counters(state)
     if jobs <= 1:
         for execution in executions:
             state.update(execution)
@@ -1258,16 +1295,39 @@ def fold_executions(
                 recorder=recorder,
                 stage="stream_fold",
             )
-    recorder.count(
-        "repro_stream_executions_total",
-        state.execution_count - before,
-    )
     # merge() rolls worker-partial memo counters up into the parent
     # state, so the deltas cover serial and parallel folds alike.
-    for event, start_value, end_value in (
-        ("hit", memo_before[0], state.memo_hits),
-        ("miss", memo_before[1], state.memo_misses),
-        ("evict", memo_before[2], state.memo_evictions),
+    publish_fold(recorder, state, before)
+    return state
+
+
+def fold_counters(state: MiningState) -> Tuple[int, int, int, int]:
+    """Snapshot of ``state``'s fold counters for :func:`publish_fold`."""
+    return (
+        state.execution_count,
+        state.memo_hits,
+        state.memo_misses,
+        state.memo_evictions,
+    )
+
+
+def publish_fold(
+    recorder: Recorder,
+    state: MiningState,
+    before: Tuple[int, int, int, int],
+) -> None:
+    """Emit the executions folded and memo traffic since ``before``.
+
+    Shared by every streaming fold (:func:`fold_executions` and the
+    fused JSON-lines fold), so the counters mean the same whichever
+    path folded the log.
+    """
+    recorder.count(
+        "repro_stream_executions_total",
+        state.execution_count - before[0],
+    )
+    for event, start_value, end_value in zip(
+        ("hit", "miss", "evict"), before[1:], fold_counters(state)[1:]
     ):
         if end_value > start_value:
             recorder.count(
@@ -1275,4 +1335,3 @@ def fold_executions(
                 end_value - start_value,
                 labels={"event": event},
             )
-    return state

@@ -1,35 +1,42 @@
 """Fused ingest -> fold: line blocks straight into a MiningState.
 
-The batch decode path (:meth:`repro.logs.ingest.IngestStream.
-push_batch`) still materializes one :class:`~repro.logs.execution.
-Execution` per finalized bucket, and the consumer folds it into a
-:class:`~repro.core.state.MiningState` — construction cost that is pure
-waste when the same trace repeats, because the state immediately
-collapses it onto an existing variant.  :class:`FoldingIngestStream`
-closes that gap at two levels:
+Algorithm 2 depends on a log only through its execution variants — the
+activity sequences and the ordered pairs they imply — yet the classic
+streaming path builds an :class:`~repro.logs.events.EventRecord` per
+line and an :class:`~repro.logs.execution.Execution` per execution
+before the state collapses it onto a known variant.
+:class:`FoldingIngestStream` skips both for the common case:
 
 * With a codec ``scan_batch`` hook (:func:`repro.logs.jsonl.
   scan_batch`), lines decode into shared *raw field tuples* —
   ``(timestamp, activity, event type, output)`` — and buckets hold
-  those tuples instead of :class:`~repro.logs.events.EventRecord`
-  objects.  A line whose id-excised text repeats costs two substring
-  finds and a dict hit; no record object is ever built for it.
-* Finalized buckets whose field *signature* matches a previously
-  accepted bucket fold as a bare counter bump — no Execution, no
-  variant packing.
+  those tuples instead of records.  A line memo keyed on the
+  id-excised line text answers byte-repeated lines with two substring
+  finds and a dict hit.  Real logs carry absolute timestamps, so their
+  lines rarely repeat: the stream measures what share of each block
+  the memo answered and, below :data:`LINE_MEMO_MIN_HIT_RATIO`, clears
+  it and scans memo-free (a plain regex pass), retrying it on one block
+  in :data:`LINE_MEMO_RETRY_EVERY`.  A block that starts on an empty
+  memo is its warm-up and is never judged.
+* A finalized bucket that :func:`_clean_sequence` proves is a chain of
+  instances folds by its activity sequence alone
+  (:meth:`~repro.core.state.MiningState.fold_sequence`), which consults
+  the state's prepared-variant memo — keyed on vertex ids, so repeated
+  variants hit whatever their timestamps.  Every other bucket is built
+  into an Execution and folded through ``state.update``.
 
-Equal signatures imply equal behavior: records inside a bucket share
-their execution id, so their sort order, the instance pairing and the
-resulting variant key are fully determined by the signature — the memo
-can only hit where the classic path would have produced the identical
-variant.  Repair-policy streams never use the memo (repairs inspect
-the raw records each time), and only *accepted* buckets are memoized,
-so quarantine accounting and strict-mode errors replay per bucket.
-Lines the scanner cannot prove canonical re-enter :meth:`push`
-individually, which keeps every error, quarantine entry and report
-field byte-identical to per-line ingestion.
+Equivalence with the classic path holds by construction: a clean
+bucket's variant is fully determined by its activity sequence, and
+both entries share one memo with one key space, so the folded state
+and its memo counters match ``fold_executions`` over the same lines.
+Repair-policy streams always take the classic finalize (repairs
+inspect the raw records), and lines the scanner cannot prove canonical
+re-enter :meth:`push` individually, which keeps every error,
+quarantine entry and report field byte-identical to per-line
+ingestion.
 
-This is the engine behind the ingest-throughput cells of
+This is the engine behind ``mine --stream`` on JSON-lines logs (via
+:func:`repro.logs.jsonl.fold_log_jsonl_file`) and the ingest cells of
 ``benchmarks/perf_harness.py``; anything that needs the executions
 themselves (journaling, the service's durable sessions) keeps using
 :class:`~repro.logs.ingest.IngestStream` + ``state.update``.
@@ -37,8 +44,7 @@ themselves (journaling, the service's durable sessions) keeps using
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Set, Tuple
 
 from repro.core.state import MiningState
 from repro.errors import LogFormatError
@@ -60,15 +66,19 @@ from repro.logs.ingest import (
     _finalize_execution_fast,
 )
 
-#: Default bound of the record-signature memo.  Signatures are one
-#: tuple per record, so entries are heavier than the state's variant
-#: memo entries; the bound is sized for "many distinct variants", not
-#: "every execution ever seen".
-DEFAULT_SIGNATURE_MEMO = 16384
+#: The line memo stays on while it answers at least this share of a
+#: block's scanned lines; below it the memo is cleared (freeing its
+#: memory) and blocks scan memo-free.
+LINE_MEMO_MIN_HIT_RATIO = 0.5
 
-#: One bucket's identity: everything but the execution id, per record,
-#: in arrival order.
-Signature = Tuple[Tuple[float, str, str, Optional[Tuple[float, ...]]], ...]
+#: While the line memo is off, one block in this many retries it, so a
+#: log that turns repetitive later wins it back.
+LINE_MEMO_RETRY_EVERY = 16
+
+#: Hard bound on line-memo entries.  Keys are whole id-excised lines
+#: (~100 bytes plus the shared field tuple), so the cap bounds a
+#: mostly-but-not-quite repetitive stream at a few tens of MB.
+LINE_MEMO_CAP = 65536
 
 #: A codec's raw block scanner (see :func:`repro.logs.jsonl.
 #: scan_batch`): ``(lines, start, memo) -> (entries, bad_line)``.
@@ -85,7 +95,8 @@ def _clean_sequence(items: Sequence) -> Optional[List[str]]:
     — no sorting fallback, FIFO pairing degenerates to adjacent pairs,
     the instances come out ordered and strictly sequential — so the
     variant is fully determined by the activity sequence and the
-    caller can pack it without building records or an Execution.
+    caller can fold it (``MiningState.fold_sequence``) without building
+    records or an Execution.
     Anything else (odd shapes, ties, interleavings, EventRecords mixed
     in) returns None and takes the classic path.
     """
@@ -149,13 +160,17 @@ class FoldingIngestStream(IngestStream):
     same policies, limits, windowing, quarantine and report accounting
     — but finalized executions are folded into ``state`` instead of
     being returned (the lists come back empty).  Track progress via
-    ``state.execution_count`` or the report.
+    ``state.execution_count`` or the report; ``first_activities`` and
+    ``last_activities`` collect each folded execution's first and last
+    activity (the streaming CLI's source/sink evidence).
 
     With ``scan_batch`` (the codec's raw scanner), ``push_batch``
     decodes through the zero-object path and open buckets hold raw
     field tuples; without it, blocks decode through ``parse_batch``
-    into records as usual.  Either way the signature memo collapses
-    repeated traces into counter bumps.
+    into records as usual.  Either way clean buckets fold by activity
+    sequence through the state's prepared-variant memo.
+    ``line_memo_hits``/``line_memo_misses`` count the scanned lines the
+    line memo answered or had to parse while it was on.
     """
 
     def __init__(
@@ -170,10 +185,7 @@ class FoldingIngestStream(IngestStream):
         parse_batch: Optional[BatchParser] = None,
         scan_batch: Optional[RawScanner] = None,
         labelled: bool = False,
-        memo_size: int = DEFAULT_SIGNATURE_MEMO,
     ) -> None:
-        if memo_size < 0:
-            raise ValueError(f"bad memo size {memo_size!r}")
         super().__init__(
             parse_line,
             policy=policy,
@@ -188,66 +200,48 @@ class FoldingIngestStream(IngestStream):
         )
         self._scan_batch = scan_batch
         self._line_memo: dict = {}
-        self._signature_memo: "OrderedDict[Signature, Tuple]" = (
-            OrderedDict()
+        # Blocks left to scan memo-free before the line memo is retried.
+        self._line_memo_idle = 0
+        self.line_memo_hits = 0
+        self.line_memo_misses = 0
+        self.first_activities: Set[str] = set()
+        self.last_activities: Set[str] = set()
+        # Clean buckets skip Execution construction; repair-policy and
+        # slow-finalize streams keep the classic finalize throughout.
+        self._fold_clean = self.policy != POLICY_REPAIR and (
+            self._fast_finalize or scan_batch is not None
         )
-        self._memo_size = memo_size
-        # Memoized variants hold packed codes in the state's *current*
-        # capacity; a repack invalidates them wholesale (it happens
-        # O(log labels) times, so a full clear is cheaper than keeping
-        # remap hooks in the state).
-        self._memo_cap = self.state._cap
-        self._mixed = False
-        # Fold intents staged by _emit and applied by _commit at the
+        # Folds staged by _emit and applied by _commit at the
         # boundaries where per-line ingestion hands its caller the
         # finalized list: after each record's drain pass, after each
         # push(), after a whole flush()/close().  A strict-policy error
-        # inside one of those scopes discards the scope's intents —
+        # inside one of those scopes discards the scope's folds —
         # exactly the executions a per-line caller never received from
         # the raising call — so the folded state matches per-line
-        # ingestion even around errors.  Packing too is deferred to
-        # commit so a rolled-back bucket interns no labels.
-        self._pending: List[tuple] = []
-        self.fold_hits = 0
-        self.fold_misses = 0
+        # ingestion even around errors.  Each entry is an activity
+        # sequence (a clean bucket) or an accepted Execution.
+        self._pending: List[object] = []
 
     def _commit(self) -> None:
-        """Apply the staged fold intents; the current scope succeeded."""
+        """Apply the staged folds; the current scope succeeded."""
         pending = self._pending
         if not pending:
             return
         state = self.state
-        memo = self._signature_memo
-        memo_size = self._memo_size
-        for kind, sig, value in pending:
-            if kind == "hit":
-                state._fold(value, 1)
-                continue
-            if kind == "update":
-                state.update(value)
-                continue
-            # "seq" / "exec": pack now, fold, and memoize.  A repack
-            # (capacity growth) invalidates earlier memo entries; the
-            # emit-time checks guaranteed pack_sequence cannot decline.
-            variant = (
-                state.pack_sequence(value)
-                if kind == "seq"
-                else state._pack_execution(value)
-            )
-            state._fold(variant, 1)
-            if state._cap != self._memo_cap:
-                memo.clear()
-                self._memo_cap = state._cap
-            memo[sig] = variant
-            if len(memo) > memo_size:
-                memo.popitem(last=False)
+        firsts = self.first_activities
+        lasts = self.last_activities
+        for item in pending:
+            # update() folds an activity sequence via fold_sequence.
+            state.update(item)
+            if type(item) is list:
+                firsts.add(item[0])
+                lasts.add(item[-1])
+            elif len(item):
+                firsts.add(item.first_activity)
+                lasts.add(item.last_activity)
         pending.clear()
 
     def push(self, line_number: int, raw_line: str) -> List[Execution]:
-        # Per-line pushes append EventRecords into open buckets, so
-        # from here on signatures must normalize item by item instead
-        # of taking the all-tuple shortcut (sticky, conservatively).
-        self._mixed = True
         try:
             result = super().push(line_number, raw_line)
         except BaseException:
@@ -256,15 +250,10 @@ class FoldingIngestStream(IngestStream):
         self._commit()
         return result
 
-    def push_batch(
-        self,
-        start: int,
-        lines: Sequence[str],
-        out: Optional[List[Execution]] = None,
-    ) -> List[Execution]:
+    def _push_block(
+        self, start: int, lines: Sequence[str], out: List[Execution]
+    ) -> None:
         scan = self._scan_batch
-        if out is None:
-            out = []
         if scan is None:
             # No raw scanner: decode through parse_batch as the base
             # class does, but drive the bookkeeping one entry at a time
@@ -290,14 +279,30 @@ class FoldingIngestStream(IngestStream):
                 bad = error.line_number - start
                 out.extend(self.push(error.line_number, lines[bad]))
                 index = bad + 1
-            return out
-        memo = self._line_memo
+            return
+        memo: Optional[dict] = None
+        if self._line_memo_idle:
+            self._line_memo_idle -= 1
+        else:
+            memo = self._line_memo
+            if len(memo) + len(lines) > LINE_MEMO_CAP:
+                memo.clear()
+        # A block that starts on an empty memo is its warm-up: every
+        # first sighting misses, so it is not judged.
+        warm = bool(memo)
+        scanned = misses = 0
         total = len(lines)
         index = 0
         while index < total:
+            before = len(memo) if memo is not None else 0
             entries, bad = scan(
                 lines[index:] if index else lines, start + index, memo
             )
+            scanned += len(entries)
+            if memo is not None:
+                # Every line the memo could not answer was parsed and
+                # stored under a fresh key.
+                misses += len(memo) - before
             if entries:
                 self._fold_entries(entries)
             if bad is None:
@@ -307,7 +312,14 @@ class FoldingIngestStream(IngestStream):
             # identical acceptance, errors and quarantine entries.
             out.extend(self.push(number, line))
             index = number - start + 1
-        return out
+        if memo is not None and scanned:
+            self.line_memo_hits += scanned - misses
+            self.line_memo_misses += misses
+            if warm and (
+                scanned - misses < LINE_MEMO_MIN_HIT_RATIO * scanned
+            ):
+                memo.clear()
+                self._line_memo_idle = LINE_MEMO_RETRY_EVERY - 1
 
     def _fold_entries(self, entries: List[tuple]) -> None:
         # The push() bookkeeping loop over scanned raw entries; any
@@ -388,6 +400,9 @@ class FoldingIngestStream(IngestStream):
                                 raw_line,
                                 execution_id=eid,
                             )
+                            # ``bucket`` no longer belongs to the run's
+                            # execution: the next record must look up.
+                            cur_eid = None
                             continue
                         if (
                             max_executions is not None
@@ -491,81 +506,27 @@ class FoldingIngestStream(IngestStream):
     ) -> None:
         # Report and quarantine accounting happen here, eagerly — the
         # per-line path also mutates them before its caller banks the
-        # list.  Folds and packing are only *staged* (see _commit):
-        # nothing touches the state until the enclosing scope survives.
-        state = self.state
+        # list.  Folds are only *staged* (see _commit): nothing touches
+        # the state until the enclosing scope survives.
         pending = self._pending
-        if (
-            not self._memo_size
-            or self.policy == POLICY_REPAIR
-            or not (
-                self._fast_finalize or self._scan_batch is not None
-            )
-        ):
-            # Classic finalize; accepted executions are staged as full
-            # state.update folds, nothing is handed back.
-            records = _materialize(eid, items)
-            before = len(out)
-            super()._emit(eid, records, out)
-            pending.extend(
-                ("update", None, execution)
-                for execution in out[before:]
-            )
-            del out[before:]
-            return
-        memo = self._signature_memo
-        if state._cap != self._memo_cap:
-            memo.clear()
-            self._memo_cap = state._cap
-        if self._mixed:
-            sig: Signature = tuple(
-                item
-                if type(item) is tuple
-                else (
-                    item.timestamp,
-                    item.activity,
-                    item.event_type,
-                    item.output,
-                )
-                for item in items
-            )
-        else:
-            sig = tuple(items)
-        variant = memo.get(sig)
-        if variant is not None:
-            memo.move_to_end(sig)
-            report = self.report
-            report.accepted_executions += 1
-            report.accepted_records += len(items)
-            pending.append(("hit", None, variant))
-            self.fold_hits += 1
-            return
-        sequence = _clean_sequence(items)
-        if (
-            sequence is not None
-            and not state.labelled
-            and len(set(sequence)) == len(sequence)
-        ):
-            # Clean sequential repeat-free bucket: stage the activity
-            # sequence itself; commit packs it via pack_sequence (the
-            # emit-time checks cover exactly its decline conditions),
-            # skipping record materialization and Execution
-            # construction entirely.
-            report = self.report
-            report.accepted_executions += 1
-            report.accepted_records += len(items)
-            pending.append(("seq", sig, sequence))
-        else:
+        if self._fold_clean:
+            sequence = _clean_sequence(items)
+            if sequence is not None:
+                report = self.report
+                report.accepted_executions += 1
+                report.accepted_records += len(items)
+                pending.append(sequence)
+                return
             execution = _finalize_execution_fast(
                 eid, _materialize(eid, items), self.policy,
                 self.quarantine, self.report,
             )
-            if execution is None:
-                return
-            # Stage the execution for direct packing: the signature
-            # memo supersedes the state's variant-key trace cache here
-            # (a signature repeat is strictly more common than an
-            # instance-level repeat with a different arrival order),
-            # so consulting both would be pure overhead.
-            pending.append(("exec", sig, execution))
-        self.fold_misses += 1
+            if execution is not None:
+                pending.append(execution)
+            return
+        # Classic finalize; accepted executions are staged as full
+        # state.update folds, nothing is handed back.
+        before = len(out)
+        super()._emit(eid, _materialize(eid, items), out)
+        pending.extend(out[before:])
+        del out[before:]

@@ -820,6 +820,14 @@ class IngestStream:
         """
         if out is None:
             out = []
+        self._push_block(start, lines, out)
+        return out
+
+    def _push_block(
+        self, start: int, lines: Sequence[str], out: List[Execution]
+    ) -> None:
+        # push_batch's body; subclasses with another decoder override
+        # this, so push_batch stays every stream's one block entry.
         parse_batch = self._parse_batch
         total = len(lines)
         index = 0
@@ -834,7 +842,6 @@ class IngestStream:
             bad = error.line_number - start
             out.extend(self.push(error.line_number, lines[bad]))
             index = bad + 1
-        return out
 
     def _ingest_entries(
         self,

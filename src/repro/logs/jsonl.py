@@ -21,12 +21,24 @@ import re
 import sys
 from itertools import islice
 from pathlib import Path
-from typing import IO, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import (
+    IO,
+    TYPE_CHECKING,
+    Iterator,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+    Union,
+)
 
 from repro.errors import LogFormatError
 from repro.logs.event_log import EventLog
 from repro.logs.events import END_EVENT, START_EVENT, EventRecord
 from repro.logs.execution import Execution
+from repro.obs.recorder import NULL_RECORDER, Recorder
 from repro.resilience.durable import durable_stream_writer
 from repro.logs.ingest import (
     DEFAULT_STREAM_WINDOW,
@@ -39,6 +51,9 @@ from repro.logs.ingest import (
     ingest_blocks,
     iter_ingest_blocks,
 )
+
+if TYPE_CHECKING:
+    from repro.core.state import MiningState
 
 PathOrStr = Union[str, Path]
 
@@ -154,12 +169,6 @@ _EID_TOKEN = re.compile(r'[^"\\\x00-\x1f]+\Z')
 _EID_PREFIX = '"execution": "'
 _EID_PREFIX_LEN = len(_EID_PREFIX)
 
-#: Default bound of the caller-owned line memo ``scan_batch`` fills.
-#: Keys are whole excised lines, so entries are ~100 bytes plus the
-#: shared field tuple; the cap bounds a worst-case all-distinct stream
-#: at a few tens of MB before the memo resets.
-DEFAULT_LINE_MEMO = 65536
-
 #: One record's codec-independent identity: ``(timestamp, activity,
 #: event type, output)`` — everything but the execution id.
 RawFields = Tuple[float, str, str, Optional[Tuple[float, ...]]]
@@ -169,21 +178,27 @@ def scan_batch(
     lines: Sequence[str],
     start: int = 1,
     memo: Optional[dict] = None,
-    memo_cap: int = DEFAULT_LINE_MEMO,
 ) -> Tuple[
     List[Tuple[int, str, str, str, RawFields]],
     Optional[Tuple[int, str]],
 ]:
-    """Scan canonical JSON lines into raw field tuples, memoizing.
+    """Scan canonical JSON lines into raw field tuples.
 
     The zero-object decode path behind :class:`repro.logs.fastfold.
     FoldingIngestStream`: each scanned line yields ``(line_number,
     raw_line, process, execution_id, fields)`` where ``fields`` is the
     shared :data:`RawFields` tuple — no :class:`EventRecord` is built.
-    ``memo`` (caller-owned, bounded by ``memo_cap``) maps the line text
-    with the execution id excised to its validated ``(process,
-    fields)``; repeated traces that differ only in execution id — the
-    regime real logs live in — hit the memo and skip parsing entirely.
+
+    ``memo`` (caller-owned and caller-bounded) maps the line text with
+    the execution id excised to its validated ``(process, fields)``;
+    every parsed line adds one entry, so the entries it gained are the
+    lines it could not answer.  It pays only when whole lines repeat
+    under fresh execution ids — replayed or synthetic logs whose
+    executions share their timestamps.  Real logs carry absolute
+    timestamps, so nearly every line misses; the folding stream
+    measures the hit share and switches the memo off (``memo=None``:
+    a plain regex pass that slices and stores nothing) when it stops
+    paying.
 
     Only lines *proven* valid are returned: a memo hit proves it (the
     excised text was validated before, and the id token is re-checked),
@@ -196,9 +211,7 @@ def scan_batch(
     """
     entries: List[Tuple[int, str, str, str, RawFields]] = []
     append = entries.append
-    if memo is None:
-        memo = {}
-    memo_get = memo.get
+    memo_get = memo.get if memo is not None else None
     match = _CANONICAL_LINE.match
     eid_ok = _EID_TOKEN.match
     intern = sys.intern
@@ -208,27 +221,26 @@ def scan_batch(
     number = start - 1
     for line in lines:
         number += 1
-        i = line.find(_EID_PREFIX)
-        if i >= 0:
-            i += prefix_len
-            j = line.find('"', i)
-            if j > i:
-                cached = memo_get(line[:i] + line[j:])
-                if cached is not None:
-                    eid = line[i:j]
-                    if eid != last_eid:
-                        if eid_ok(eid) is None:
-                            return entries, (number, line)
-                        last_eid = eid
-                    else:
-                        # Reuse the run's id object so downstream
-                        # equality checks short-circuit on identity.
-                        eid = last_eid
-                    process, fields = cached
-                    append((number, line, process, eid, fields))
-                    continue
-        elif not line.strip():
-            continue
+        if memo_get is not None:
+            i = line.find(_EID_PREFIX)
+            if i >= 0:
+                i += prefix_len
+                j = line.find('"', i)
+                if j > i:
+                    cached = memo_get(line[:i] + line[j:])
+                    if cached is not None:
+                        eid = line[i:j]
+                        if eid != last_eid:
+                            if eid_ok(eid) is None:
+                                return entries, (number, line)
+                            last_eid = eid
+                        else:
+                            # Reuse the run's id object so downstream
+                            # equality checks short-circuit on identity.
+                            eid = last_eid
+                        process, fields = cached
+                        append((number, line, process, eid, fields))
+                        continue
         m = match(line)
         if m is None:
             if not line.strip():
@@ -267,14 +279,13 @@ def scan_batch(
             output,
         )
         process = intern(process)
-        # Group 2's character class is the id-token grammar, so the
-        # matched id needs no separate check; it still primes the
-        # hit path's one-entry cache.
-        last_eid = eid
-        if len(memo) >= memo_cap:
-            memo.clear()
-        a, b = m.span(2)
-        memo[line[:a] + line[b:]] = (process, fields)
+        if memo is not None:
+            # Group 2's character class is the id-token grammar, so the
+            # matched id needs no separate check; it still primes the
+            # hit path's one-entry cache.
+            last_eid = eid
+            a, b = m.span(2)
+            memo[line[:a] + line[b:]] = (process, fields)
         append((number, line, process, eid, fields))
     return entries, None
 
@@ -517,6 +528,22 @@ def iter_ingest_log_jsonl_file(
         )
 
 
+class StreamFold(NamedTuple):
+    """What :func:`fold_log_jsonl_file` folded.
+
+    ``first_activities``/``last_activities`` hold every folded
+    execution's first and last activity (a unique one is the model's
+    source/sink); ``line_memo_hits``/``line_memo_misses`` count the
+    scanned lines the line memo answered or had to parse while on.
+    """
+
+    state: "MiningState"
+    first_activities: Set[str]
+    last_activities: Set[str]
+    line_memo_hits: int
+    line_memo_misses: int
+
+
 def fold_log_jsonl_file(
     path: PathOrStr,
     policy: str = POLICY_STRICT,
@@ -524,23 +551,35 @@ def fold_log_jsonl_file(
     quarantine: Optional[Quarantine] = None,
     report: Optional[IngestReport] = None,
     window: Optional[int] = DEFAULT_STREAM_WINDOW,
-    state=None,
-):
+    state: Optional["MiningState"] = None,
+    labelled: bool = False,
+    recorder: Recorder = NULL_RECORDER,
+) -> StreamFold:
     """Fold a JSON-lines log file straight into a ``MiningState``.
 
-    The out-of-core fast path: the batched equivalent of
-    ``fold_executions(iter_ingest_log_jsonl_file(path))``, decoding
-    blocks of lines through :func:`scan_batch`/:func:`parse_batch` and
-    folding finalized buckets without materializing an
-    :class:`~repro.logs.execution.Execution` for clean records (see
+    The engine behind ``mine --stream`` on ``.jsonl`` logs: the
+    batched equivalent of ``fold_executions(iter_ingest_log_jsonl_file(
+    path), labelled=labelled)``, decoding blocks of lines through
+    :func:`scan_batch` and folding clean buckets by activity sequence
+    without building records or executions (see
     :class:`repro.logs.fastfold.FoldingIngestStream`).  Policy, limit,
     quarantine, window and report semantics match the iterator path
-    byte for byte.  Journaling callers keep using the iterator — this
-    path never yields the executions a journal would record.  Returns
-    the (given or fresh) state.
+    byte for byte, and so do the folded state and the
+    ``repro_stream_executions_total`` / ``repro_ingest_variant_memo_total``
+    counters; ``repro_ingest_line_memo_total`` adds the line memo's
+    traffic.  Journaling and parallel folds keep using the iterator —
+    this path never yields the executions they need.
+
+    Folds into ``state`` when given (its ``labelled`` flag must match),
+    else into a fresh state.
     """
+    from repro.core.state import fold_counters, publish_fold
     from repro.logs.fastfold import FoldingIngestStream
 
+    if state is not None and state.labelled != labelled:
+        raise ValueError(
+            "state.labelled does not match the requested labelled flag"
+        )
     stream = FoldingIngestStream(
         record_from_json,
         state=state,
@@ -551,7 +590,9 @@ def fold_log_jsonl_file(
         window=window,
         parse_batch=parse_batch,
         scan_batch=scan_batch,
+        labelled=labelled,
     )
+    before = fold_counters(stream.state)
     with open(path, "r", encoding="utf-8") as handle:
         start = 1
         while True:
@@ -560,8 +601,25 @@ def fold_log_jsonl_file(
                 break
             stream.push_batch(start, block)
             start += len(block)
-    stream.flush()
-    return stream.state
+    stream.close()
+    publish_fold(recorder, stream.state, before)
+    for event, value in (
+        ("hit", stream.line_memo_hits),
+        ("miss", stream.line_memo_misses),
+    ):
+        if value:
+            recorder.count(
+                "repro_ingest_line_memo_total",
+                value,
+                labels={"event": event},
+            )
+    return StreamFold(
+        stream.state,
+        stream.first_activities,
+        stream.last_activities,
+        stream.line_memo_hits,
+        stream.line_memo_misses,
+    )
 
 
 def read_log_jsonl(stream: IO[str]) -> EventLog:

@@ -137,13 +137,20 @@ DECLARED_METRICS: Tuple[MetricSpec, ...] = (
     ),
     _counter(
         "repro_ingest_variant_memo_total",
-        "Prepared-variant memo traffic in MiningState.update",
+        "Prepared-variant memo traffic in MiningState.update and "
+        "fold_sequence",
+        "event",
+    ),
+    _counter(
+        "repro_ingest_line_memo_total",
+        "Scanned lines the fused stream's line memo answered (hit) or "
+        "parsed (miss) while on",
         "event",
     ),
     # Streaming fold.
     _counter(
         "repro_stream_executions_total",
-        "Executions folded into a MiningState by fold_executions",
+        "Executions folded into a MiningState by a streaming fold",
     ),
     # Section 7 conditions mining.
     _counter(

@@ -1,16 +1,20 @@
 """Parity: the batched ingest fast paths vs per-record ingestion.
 
-Three layers of fast path, one claim each:
+Four layers of fast path, one claim each:
 
-* :meth:`FoldingIngestStream.push_batch` (block scan + signature memo
-  + direct variant folding) must leave the mining state, the ingest
-  report, the quarantine contents and any raised error byte-identical
-  to pushing every line through :meth:`IngestStream.push` and calling
-  ``state.update`` per execution — across policies, block boundaries,
-  window sizes and memo eviction.
-* The prepared-variant memo inside :meth:`MiningState.update` must be
-  invisible: any memo size folds to the same payload as the unmemoized
-  state.
+* :meth:`FoldingIngestStream.push_batch` (block scan + line memo +
+  folding clean buckets by activity sequence) must leave the mining
+  state, the ingest report, the quarantine contents and any raised
+  error byte-identical to pushing every line through
+  :meth:`IngestStream.push` and calling ``state.update`` per execution
+  — across policies, block boundaries, window sizes and memo eviction.
+* :func:`repro.logs.jsonl.fold_log_jsonl_file`, the ``mine --stream``
+  engine, must match ``fold_executions`` over the iterator path on the
+  same file: state, first/last activity sets, report, quarantine,
+  errors and fold metrics — also when timestamps never repeat.
+* The prepared-variant memo inside :meth:`MiningState.update` and
+  :meth:`MiningState.fold_sequence` must be invisible: any memo size
+  folds to the same payload as the unmemoized state.
 * :meth:`Tenant.ingest`'s batched path must preserve the per-line
   contract under strict errors — pre-error executions folded, the line
   counter resting on the offending line.
@@ -22,18 +26,27 @@ random mixtures of them over random block/window/memo geometry.
 
 import dataclasses
 import json
+import os
 import random
+import tempfile
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.state import MiningState
+from repro.cli import main
+from repro.core.state import MiningState, fold_executions
 from repro.errors import LogFormatError
 from repro.logs import jsonl
 from repro.logs.execution import Execution
 from repro.logs.fastfold import FoldingIngestStream
-from repro.logs.ingest import IngestStream, Quarantine
+from repro.logs.ingest import (
+    INGEST_BLOCK_LINES,
+    IngestReport,
+    IngestStream,
+    Quarantine,
+)
+from repro.obs import ObsRecorder
 from repro.service.registry import Tenant, TenantConfig
 
 POLICIES = ("strict", "skip", "repair")
@@ -83,18 +96,17 @@ def reference_run(lines, policy, window):
     )
 
 
-def fast_run(lines, policy, window, block=7, memo_size=16384, scan=True):
+def fast_run(lines, policy, window, block=7, memo_size=65536, scan=True):
     """Block pushes through the folding fast path."""
     quarantine = Quarantine()
     stream = FoldingIngestStream(
         jsonl.record_from_json,
-        state=MiningState(),
+        state=MiningState(memo_size=memo_size),
         policy=policy,
         quarantine=quarantine,
         window=window,
         parse_batch=jsonl.parse_batch,
         scan_batch=jsonl.scan_batch if scan else None,
-        memo_size=memo_size,
     )
     error = None
     try:
@@ -200,12 +212,12 @@ def _late_record():
     return lines
 
 
-#: name -> (lines, window, signature-memo size)
+#: name -> (lines, window, MiningState prepared-variant memo size)
 CASES = {
-    "clean-repeat": (_clean_repeat(), 64, 16384),
-    "repeated-activity": (_repeated_activity(), 64, 16384),
-    "overlap": (_overlap(), 64, 16384),
-    "ties-disorder": (_ties_disorder(), 64, 16384),
+    "clean-repeat": (_clean_repeat(), 64, 65536),
+    "repeated-activity": (_repeated_activity(), 64, 65536),
+    "overlap": (_overlap(), 64, 65536),
+    "ties-disorder": (_ties_disorder(), 64, 65536),
     "unmatched-end": (
         [
             line("a", "u0", "END", 1.0),
@@ -213,11 +225,11 @@ CASES = {
             line("b", "u1", "END", 3.0),
         ],
         64,
-        16384,
+        65536,
     ),
-    "junk": (_junk(), 64, 16384),
-    "mixed-process": (_mixed_process(), 64, 16384),
-    "late-record": (_late_record(), 4, 16384),
+    "junk": (_junk(), 64, 65536),
+    "mixed-process": (_mixed_process(), 64, 65536),
+    "late-record": (_late_record(), 4, 65536),
     "tiny-memo": (_clean_repeat(), 64, 2),
     "memo-off": (_clean_repeat(), 64, 0),
 }
@@ -312,7 +324,7 @@ def line_soups(draw):
         ]
     window = draw(st.sampled_from([2, 4, 64, None]))
     block = draw(st.integers(min_value=1, max_value=16))
-    memo_size = draw(st.sampled_from([0, 2, 16384]))
+    memo_size = draw(st.sampled_from([0, 2, 65536]))
     policy = draw(st.sampled_from(POLICIES))
     scan = draw(st.booleans())
     return lines, window, block, memo_size, policy, scan
@@ -369,25 +381,427 @@ class TestPropertyParity:
 
     @given(
         st.lists(
-            st.sampled_from("abcdefg"),
+            st.lists(st.sampled_from("abcd"), min_size=1, max_size=6),
             min_size=1,
-            max_size=7,
-            unique=True,
-        )
+            max_size=10,
+        ),
+        st.booleans(),
+        st.sampled_from([0, 1, 2, 65536]),
     )
-    @settings(max_examples=60, deadline=None)
-    def test_pack_sequence_matches_pack_execution(self, sequence):
-        direct = MiningState().pack_sequence(sequence)
-        classic = MiningState()._pack_execution(
-            Execution.from_sequence(
-                sequence, execution_id="e", start_time=0.0
+    @settings(max_examples=80, deadline=None)
+    def test_fold_sequence_matches_update(
+        self, sequences, labelled, memo_size
+    ):
+        """Folding by activity sequence is update() on the execution:
+        same payload, same memo traffic, repeats and relabelling
+        included."""
+        by_update = MiningState(labelled=labelled, memo_size=memo_size)
+        by_sequence = MiningState(labelled=labelled, memo_size=memo_size)
+        for index, sequence in enumerate(sequences + sequences):
+            by_update.update(
+                Execution.from_sequence(
+                    sequence, execution_id=f"e{index}",
+                    start_time=float(index),
+                )
+            )
+            by_sequence.fold_sequence(sequence)
+        assert by_sequence.to_payload() == by_update.to_payload()
+        assert (
+            by_sequence.memo_hits,
+            by_sequence.memo_misses,
+            by_sequence.memo_evictions,
+        ) == (
+            by_update.memo_hits,
+            by_update.memo_misses,
+            by_update.memo_evictions,
+        )
+
+    def test_fold_sequence_handles_repeats_and_labelled(self):
+        plain = MiningState()
+        plain.fold_sequence(["a", "b", "a"])
+        # The plain view drops the self-pair a repeat implies.
+        assert set(plain.pair_frequencies()) == {("a", "b"), ("b", "a")}
+        labelled = MiningState(labelled=True)
+        labelled.fold_sequence(["a", "b", "a"])
+        assert labelled.has_repetition()
+        assert set(labelled.pair_frequencies()) == {
+            (("a", 1), ("b", 1)),
+            (("a", 1), ("a", 2)),
+            (("b", 1), ("a", 2)),
+        }
+
+
+#: The fold metrics both streaming paths emit with the same meaning.
+FOLD_METRICS = (
+    "repro_stream_executions_total",
+    "repro_ingest_variant_memo_total",
+)
+
+
+def _fold_metrics(recorder):
+    return sorted(
+        (metric.name, metric.labels, metric.value)
+        for metric in recorder.registry
+        if metric.name in FOLD_METRICS
+    )
+
+
+def _fold_outcome(state, firsts, lasts, report, quarantine, recorder,
+                  error):
+    outcome = {
+        "report": dataclasses.asdict(report),
+        "quarantine": [
+            dataclasses.asdict(item) for item in quarantine.items
+        ],
+        "error": error,
+    }
+    if error is None:
+        # A strict error ends both runs; the iterator path then never
+        # hands the fold the rest of the raising block, so only the
+        # accounting is comparable past that point.
+        outcome.update(
+            payload=state.to_payload(),
+            firsts=sorted(firsts),
+            lasts=sorted(lasts),
+            metrics=_fold_metrics(recorder),
+        )
+    return outcome
+
+
+def iterator_fold(path, policy, window, labelled, memo_size):
+    """``fold_executions`` over the execution iterator: the reference
+    ``mine --stream`` keeps for journaled and parallel folds."""
+    quarantine, report, recorder = Quarantine(), IngestReport(), (
+        ObsRecorder()
+    )
+    state = MiningState(labelled=labelled, memo_size=memo_size)
+    firsts, lasts = set(), set()
+
+    def tracked(executions):
+        for execution in executions:
+            if len(execution):
+                firsts.add(execution.first_activity)
+                lasts.add(execution.last_activity)
+            yield execution
+
+    error = None
+    try:
+        fold_executions(
+            tracked(
+                jsonl.iter_ingest_log_jsonl_file(
+                    path,
+                    policy=policy,
+                    quarantine=quarantine,
+                    report=report,
+                    window=window,
+                )
+            ),
+            labelled=labelled,
+            state=state,
+            recorder=recorder,
+        )
+    except Exception as exc:  # noqa: BLE001 — parity includes errors
+        error = repr(exc)
+    return _fold_outcome(
+        state, firsts, lasts, report, quarantine, recorder, error
+    )
+
+
+def fused_fold(path, policy, window, labelled, memo_size):
+    """The fused block fold ``mine --stream`` runs on JSON lines."""
+    quarantine, report, recorder = Quarantine(), IngestReport(), (
+        ObsRecorder()
+    )
+    state = MiningState(labelled=labelled, memo_size=memo_size)
+    firsts = lasts = set()
+    error = None
+    try:
+        folded = jsonl.fold_log_jsonl_file(
+            path,
+            policy=policy,
+            quarantine=quarantine,
+            report=report,
+            window=window,
+            state=state,
+            labelled=labelled,
+            recorder=recorder,
+        )
+        assert folded.state is state
+        firsts, lasts = folded.first_activities, folded.last_activities
+    except Exception as exc:  # noqa: BLE001
+        error = repr(exc)
+    return _fold_outcome(
+        state, firsts, lasts, report, quarantine, recorder, error
+    )
+
+
+def _execution_lines(eid, shape, activities, base, rng):
+    lines, time = [], base
+    if shape in ("clean", "repeat"):
+        # "repeat" keeps repeated activities: a clean bucket whose
+        # labelled view needs occurrence relabelling.
+        sequence = (
+            activities if shape == "repeat"
+            else list(dict.fromkeys(activities))
+        )
+        for activity in sequence:
+            lines.append(line(activity, eid, "START", time))
+            lines.append(line(activity, eid, "END", time + 0.5, [1.0]))
+            time += 1.0
+    elif shape == "touching":
+        # Arrival order, but instants and touching intervals tie on
+        # time, so the arrival order alone no longer fixes the trace.
+        for activity in activities:
+            end = time + rng.choice((0.0, 0.5))
+            lines.append(line(activity, eid, "START", time))
+            lines.append(line(activity, eid, "END", end))
+            time = end
+    elif shape == "overlap":
+        for offset, activity in enumerate(activities):
+            lines.append(line(activity, eid, "START", time + offset))
+        for offset, activity in enumerate(activities):
+            lines.append(
+                line(activity, eid, "END",
+                     time + len(activities) + offset)
+            )
+    else:  # disorder: shuffled events on tie-prone timestamps
+        for activity in activities:
+            lines.append(
+                line(activity, eid, "START", base + rng.randint(0, 3))
+            )
+            lines.append(
+                line(activity, eid, "END", base + rng.randint(0, 3))
+            )
+        rng.shuffle(lines)
+    return lines
+
+
+@st.composite
+def fold_logs(draw):
+    """A log drawn from a small trace pool, plus fold geometry.
+
+    ``shifted`` gives every execution its own time base, so no line
+    repeats even with the id cut out (real logs); otherwise repeats of
+    a pool trace are byte-identical but for the id (replayed logs).
+    """
+    rng = random.Random(draw(st.integers(min_value=0, max_value=99_999)))
+    pool = [
+        (
+            rng.choice(("clean", "clean", "repeat", "touching",
+                        "overlap", "disorder")),
+            [rng.choice("abcd") for _ in range(rng.randint(1, 4))],
+        )
+        for _ in range(rng.randint(1, 4))
+    ]
+    shifted = draw(st.booleans())
+    executions = []
+    for index in range(draw(st.integers(min_value=1, max_value=10))):
+        shape, activities = pool[rng.randrange(len(pool))]
+        executions.append(
+            _execution_lines(
+                f"e{index}", shape, activities,
+                100.0 * index if shifted else 0.0, rng,
             )
         )
-        assert direct == classic
+    if draw(st.booleans()):
+        # Interleave neighbours record by record: open windows overlap.
+        for index in range(0, len(executions) - 1, 2):
+            first, second = executions[index], executions[index + 1]
+            merged = [
+                raw
+                for pair in zip(first, second)
+                for raw in pair
+            ]
+            shorter = min(len(first), len(second))
+            merged += first[shorter:] + second[shorter:]
+            executions[index], executions[index + 1] = merged, []
+    lines = []
+    for block in executions:
+        lines.extend(block)
+        if rng.random() < 0.2:
+            lines.append(
+                rng.choice(
+                    [
+                        "",
+                        "{broken",
+                        line("z", "x", "START", 0.0, process="q"),
+                        '{"activity": "n", "execution": "n", '
+                        '"output": null, "process": "p", '
+                        '"time": 1e999, "type": "START"}',
+                    ]
+                )
+            )
+    window = draw(st.sampled_from([1, 2, 4, 64, None]))
+    policy = draw(st.sampled_from(POLICIES))
+    labelled = draw(st.booleans())
+    memo_size = draw(st.sampled_from([0, 2, 65536]))
+    return lines, window, policy, labelled, memo_size
 
-    def test_pack_sequence_declines_repeats_and_labelled(self):
-        assert MiningState().pack_sequence(["a", "b", "a"]) is None
-        assert MiningState(labelled=True).pack_sequence(["a"]) is None
+
+def _both_folds(lines, policy, window, labelled, memo_size=65536):
+    with tempfile.TemporaryDirectory() as workdir:
+        path = os.path.join(workdir, "log.jsonl")
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.writelines(raw + "\n" for raw in lines)
+        return (
+            fused_fold(path, policy, window, labelled, memo_size),
+            iterator_fold(path, policy, window, labelled, memo_size),
+        )
+
+
+class TestFusedFileFold:
+    @given(fold_logs())
+    @settings(max_examples=150, deadline=None)
+    def test_fused_fold_matches_iterator_fold(self, drawn):
+        lines, window, policy, labelled, memo_size = drawn
+        fused, reference = _both_folds(
+            lines, policy, window, labelled, memo_size
+        )
+        assert fused == reference
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    @pytest.mark.parametrize("policy", POLICIES)
+    @pytest.mark.parametrize("labelled", (False, True))
+    def test_case_family(self, name, policy, labelled):
+        lines, window, memo_size = CASES[name]
+        fused, reference = _both_folds(
+            lines, policy, window, labelled, memo_size
+        )
+        assert fused == reference
+
+    def test_unique_timestamps_keep_the_line_memo_small(self):
+        """Lines that never repeat switch the line memo off after its
+        warm-up block and the one that judges it: between blocks it
+        never holds more than one block, and it ends empty."""
+        lines = []
+        for index in range(2_000):
+            time = 10.0 * index
+            for offset, activity in enumerate("abcde"):
+                lines.append(
+                    line(activity, f"u{index}", "START", time + offset)
+                )
+                lines.append(
+                    line(activity, f"u{index}", "END",
+                         time + offset + 0.5)
+                )
+        assert len(lines) >= 20_000
+        stream = FoldingIngestStream(
+            jsonl.record_from_json,
+            parse_batch=jsonl.parse_batch,
+            scan_batch=jsonl.scan_batch,
+        )
+        for offset in range(0, len(lines), INGEST_BLOCK_LINES):
+            stream.push_batch(
+                offset + 1, lines[offset : offset + INGEST_BLOCK_LINES]
+            )
+            assert len(stream._line_memo) <= INGEST_BLOCK_LINES
+        stream.close()
+        assert stream._line_memo == {}
+        assert stream.line_memo_hits == 0
+        assert stream.line_memo_misses <= 2 * INGEST_BLOCK_LINES
+        assert stream.state.execution_count == 2_000
+
+    def test_byte_repeated_traces_keep_the_line_memo_on(self):
+        pool = _clean_repeat()
+        lines = [
+            raw.replace('"execution": "', f'"execution": "r{repeat}-')
+            for repeat in range(50)
+            for raw in pool
+        ]
+        stream = FoldingIngestStream(
+            jsonl.record_from_json,
+            parse_batch=jsonl.parse_batch,
+            scan_batch=jsonl.scan_batch,
+        )
+        for offset in range(0, len(lines), 64):
+            stream.push_batch(offset + 1, lines[offset : offset + 64])
+        stream.close()
+        assert stream.line_memo_hits > 0.9 * len(lines)
+        assert stream.state.execution_count == 300
+
+
+def _log_with_bad_lines(path, repeats=6):
+    """Sequential, cyclic and overlapping traces of one s...f process,
+    half of them time-shifted, with junk and foreign-process lines."""
+    pool = (
+        ("s", "a", "b", "f"),
+        ("s", "b", "a", "f"),
+        ("s", "a", "b", "a", "f"),
+        ("s", ("a", "b"), "f"),
+    )
+    lines = []
+    for repeat in range(repeats):
+        for index, trace in enumerate(pool):
+            eid = f"x{repeat}-{index}"
+            time = 100.0 * repeat if repeat % 2 else 0.0
+            for step in trace:
+                # A tuple is a pair of overlapping instances.
+                group = step if isinstance(step, tuple) else (step,)
+                for offset, activity in enumerate(group):
+                    lines.append(
+                        line(activity, eid, "START", time + offset)
+                    )
+                for offset, activity in enumerate(group):
+                    lines.append(
+                        line(activity, eid, "END",
+                             time + len(group) + offset)
+                    )
+                time += 2 * len(group) + 1
+        lines.append("{broken")
+        lines.append(line("q", f"m{repeat}", "START", 0.0, process="q"))
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return path
+
+
+class TestFusedStreamCli:
+    @pytest.mark.parametrize(
+        "algorithm", ("auto", "general-dag", "cyclic")
+    )
+    def test_matches_iterator_path_byte_for_byte(
+        self, tmp_path, capsys, algorithm
+    ):
+        """Same stdout, stderr, exit status, dead letters and state file
+        as the iterator path (``--fold-retries`` keeps it)."""
+        log = _log_with_bad_lines(tmp_path / "bad.jsonl")
+        dead = tmp_path / "dead.jsonl"
+        state_out = tmp_path / "state.json"
+        argv = [
+            "mine", str(log), "--stream", "--format", "edges",
+            "--on-error", "skip", "--algorithm", algorithm,
+            "--quarantine", str(dead), "--state-out", str(state_out),
+        ]
+        runs = []
+        for extra in ([], ["--fold-retries", "1"]):
+            # The dead-letter sink appends; start each run empty.
+            dead.unlink(missing_ok=True)
+            status = main(argv + extra)
+            captured = capsys.readouterr()
+            runs.append(
+                (
+                    status,
+                    captured.out,
+                    captured.err,
+                    dead.read_bytes(),
+                    state_out.read_bytes(),
+                )
+            )
+        assert runs[0][0] == 3
+        assert runs[0] == runs[1]
+
+    def test_profile_reports_the_fold(self, tmp_path, capsys):
+        log = _log_with_bad_lines(tmp_path / "bad.jsonl")
+        status = main(
+            [
+                "mine", str(log), "--stream", "--format", "edges",
+                "--on-error", "skip", "--profile",
+            ]
+        )
+        assert status == 3
+        err = capsys.readouterr().err
+        assert (
+            "  stream: 204 records, 24 executions, variant memo "
+            "15 hits / 9 misses, line memo hit ratio "
+        ) in err
 
 
 class TestTenantBatchedIngest:
