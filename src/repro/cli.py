@@ -613,16 +613,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="checkpoint each tenant every N folds (default: 256)",
     )
     serve.add_argument(
-        "--snapshot-every",
-        type=_positive_int,
-        metavar="N",
-        default=64,
-        help=(
-            "refresh a tenant's served model once N folds accumulate "
-            "past the cached snapshot (default: 64)"
-        ),
-    )
-    serve.add_argument(
         "--queue-limit",
         type=_positive_int,
         metavar="N",
@@ -1674,7 +1664,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             if args.checkpoint_every is not None
             else DEFAULT_CHECKPOINT_EVERY
         ),
-        snapshot_every=args.snapshot_every,
         kernel=args.kernel,
         limits=limits,
     )

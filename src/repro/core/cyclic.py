@@ -20,6 +20,7 @@ from typing import List, Optional, Tuple, Union
 from repro.core.general_dag import (
     MiningTrace,
     PreparedExecution,
+    _keyed,
     _mine_packed,
     prepare_executions,
     prepare_packed_log,
@@ -116,8 +117,9 @@ def mine_cyclic(
             list(log), labelled=True, jobs=jobs, recorder=trace.recorder
         )
     instance_graph = _mine_packed(
-        table,
-        variants,
+        table.labels,
+        len(table),
+        _keyed(variants),
         threshold=threshold,
         trace=trace,
         jobs=jobs,

@@ -57,14 +57,19 @@ from __future__ import annotations
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from itertools import groupby, islice
+from operator import itemgetter
 from time import perf_counter
 from typing import (
     Callable,
+    Collection,
     Dict,
     FrozenSet,
     Hashable,
+    Iterable,
     Iterator,
     List,
+    Mapping,
     Optional,
     Sequence,
     Set,
@@ -88,7 +93,7 @@ from repro.core.parallel import (
 )
 from repro.errors import EmptyLogError
 from repro.graphs.digraph import DiGraph
-from repro.graphs.scc import component_map, component_map_adjacency
+from repro.graphs.scc import component_map_adjacency
 from repro.graphs.transitive import transitive_reduction_packed
 from repro.logs.event_log import EventLog
 from repro.logs.execution import Execution
@@ -99,6 +104,13 @@ Pair = Tuple[Vertex, Vertex]
 
 #: ``(prepared, multiplicity)`` — one deduplicated trace variant.
 WeightedVariant = Tuple["PreparedExecution", int]
+
+#: ``(vertices, pairs, overlaps)`` of one packed trace variant.
+VariantKey = Tuple[FrozenSet[int], FrozenSet[int], FrozenSet[int]]
+#: ``(key, multiplicity)`` — one packed variant as steps 2–6 take it.
+PackedItem = Tuple[VariantKey, int]
+#: ``(pair_counts, overlap_counts, vertex_ids)`` a folding caller keeps.
+StepTwoCounters = Tuple[Mapping[int, int], Mapping[int, int], Iterable[int]]
 
 #: Minimum batch size before step-5 mask reductions fan out to workers.
 _MASK_FANOUT_MIN = 64
@@ -582,44 +594,15 @@ def _reverse_code(code: int, n: int) -> int:
     return v * n + u
 
 
-def _topological_ranks(
-    edges: Set[int], n: int
-) -> Optional[Dict[int, int]]:
-    """Topological ranks of the edge-bearing vertices, or ``None`` if
-    the packed edge set is cyclic (possible only when step 4 was
-    skipped).  Computed once per run so that each step-5 reduction can
-    skip its own Kahn pass: a subgraph of a DAG respects any topological
-    order of the full DAG."""
-    succ: Dict[int, List[int]] = {}
-    indegree: Dict[int, int] = {}
-    for code in edges:
-        u, v = divmod(code, n)
-        succ.setdefault(u, []).append(v)
-        indegree[v] = indegree.get(v, 0) + 1
-        indegree.setdefault(u, 0)
-    ready = [u for u, degree in indegree.items() if degree == 0]
-    order: List[int] = []
-    while ready:
-        u = ready.pop()
-        order.append(u)
-        for v in succ.get(u, ()):
-            indegree[v] -= 1
-            if indegree[v] == 0:
-                ready.append(v)
-    if len(order) != len(indegree):
-        return None
-    return {u: position for position, u in enumerate(order)}
-
-
 def _ranks_from_adjacency(
     adjacency: Dict[int, List[int]], n: int
 ) -> Optional[Dict[int, int]]:
     """Kahn ranks straight off an id-list adjacency, or ``None`` on a
-    cycle.  Array-indexed counterpart of :func:`_topological_ranks` for
-    the fused row pipeline, where the adjacency is already decoded —
-    and doubling as its acyclicity test: a completed order proves every
-    strongly connected component is a singleton, letting step 4 skip
-    the SCC pass outright."""
+    cycle.  Computed once per run so that each step-5 reduction can
+    skip its own Kahn pass (a subgraph of a DAG respects any
+    topological order of the full DAG), and doubling as step 4's
+    acyclicity test: a completed order proves every strongly connected
+    component is a singleton, letting step 4 skip the SCC pass."""
     indegree = [0] * n
     present = [False] * n
     for u, targets in adjacency.items():
@@ -643,11 +626,14 @@ def _ranks_from_adjacency(
 
 
 def _total_order_mask(
-    variant: PackedVariant,
+    variant: Sequence[FrozenSet[int]],
     n: int,
     cache: Optional[Dict[FrozenSet[int], Optional[int]]] = None,
 ) -> Optional[int]:
     """The variant's vertex bitmask when its pairs are a total order.
+
+    ``variant`` is a :class:`~repro.core.interning.PackedVariant` or a
+    bare ``(vertices, pairs, overlaps)`` key.
 
     Returns ``None`` for anything else — only total-order variants may
     take the batched step-5 path, because only for them does the
@@ -665,10 +651,9 @@ def _total_order_mask(
     ``cache`` (keyed by the pairs frozenset, which caches its own hash)
     lets repeated ``finish()`` calls skip re-verification.
     """
-    if variant.overlaps:
+    vertices, pairs, overlaps = variant[0], variant[1], variant[2]
+    if overlaps:
         return None
-    pairs = variant.pairs
-    vertices = variant.vertices
     k = len(vertices)
     if len(pairs) != (k * (k - 1)) // 2:
         return None
@@ -767,8 +752,9 @@ def mine_variants(
     with trace.stage("intern"):
         table, packed = intern_variants(variants)
     return _mine_packed(
-        table,
-        packed,
+        table.labels,
+        len(table),
+        _keyed(packed),
         threshold=threshold,
         trace=trace,
         skip_scc_removal=skip_scc_removal,
@@ -779,9 +765,15 @@ def mine_variants(
     )
 
 
+def _keyed(packed: Sequence[PackedVariant]) -> List[PackedItem]:
+    """Batch-pipeline variants in the core's ``(key, count)`` shape."""
+    return [(variant[:3], variant.multiplicity) for variant in packed]
+
+
 def _mine_packed(
-    table: InternTable,
-    packed: Sequence[PackedVariant],
+    labels: Sequence[Vertex],
+    n: int,
+    variants: Collection[PackedItem],
     threshold: int = 0,
     trace: Optional[MiningTrace] = None,
     skip_scc_removal: bool = False,
@@ -792,77 +784,128 @@ def _mine_packed(
     ] = None,
     kernel: Optional[Kernel] = None,
     kernel_state: Optional[KernelState] = None,
+    counters: Optional[StepTwoCounters] = None,
 ) -> DiGraph:
-    """Steps 2–6 over already-interned packed variants.
+    """Steps 2–6 over interned packed variants.
 
-    ``reduction_memo`` optionally persists step-5 results across calls:
-    it maps an execution's *induced edge set* to the edges its
-    transitive reduction kept.  A reduction depends only on that induced
-    set, so a caller whose label table is stable (the incremental miner,
-    :meth:`MiningState.finish <repro.core.state.MiningState.finish>`)
-    can pass the same dict again and pay only for unseen induced sets.
+    ``labels[i]`` names vertex id ``i`` and pair codes are ``u * n +
+    v`` for any modulus ``n >= len(labels)`` — the batch pipelines pass
+    a canonical :class:`~repro.core.interning.InternTable`, while
+    :meth:`MiningState.finish <repro.core.state.MiningState.finish>`
+    passes its own growable table and capacity, so no code is remapped
+    per call.  ``variants`` holds ``((vertices, pairs, overlaps),
+    multiplicity)`` items.  Whatever the id assignment, the graph is
+    the same down to node and edge insertion order: nodes are sorted
+    by ``repr`` and edges inserted in that order of their endpoints.
+
+    ``counters`` — ``(pair_counts, overlap_counts, vertex_ids)`` — lets
+    a caller that maintains the step-2 counters while folding (the
+    mining state) skip recounting every pair; without it step 2 counts
+    them from ``variants``.
+
+    ``reduction_memo`` optionally persists scalar step-5 results across
+    calls: it maps an execution's *induced edge set* to the edges its
+    transitive reduction kept, which depends on that set alone, so a
+    caller whose pair codes are stable can pass the same dict again.
 
     Under a mask-capable ``kernel`` (the default ``bitset``) and
     ``threshold <= 1``, total-order variants skip the per-variant scalar
     reduction entirely: they are verified once
     (:func:`_total_order_mask`), collapsed to vertex bitmasks, and
-    reduced in one slotted bit-parallel batch — optionally resuming from
-    a persistent ``kernel_state`` whose variant population must only
-    grow between calls on an unchanged edge set (true for
-    :class:`~repro.core.state.MiningState` and the incremental miner).
-    Everything else (overlaps, repeated activities, ``threshold > 1``,
-    cyclic ablations) takes the scalar path, unchanged.
+    reduced in one slotted bit-parallel batch.  Everything else
+    (overlaps, repeated activities, ``threshold > 1``, cyclic
+    ablations) takes the scalar path.
+
+    A persistent ``kernel_state`` makes repeated calls incremental for
+    a caller whose ``variants`` only ever grow at the end (see
+    :class:`~repro.core.kernels.KernelState`).  On an unchanged step-3
+    edge set, step 4 is replayed and step 5 reduces only the variants
+    past the state's cursor; and with ``threshold <= 1`` a call that
+    sees no new variant returns the previous graph (rebuilt, so the
+    caller owns it) — every step depends only on the variant set then,
+    and an append-only sequence of the same length is the same set.
     """
-    if not packed:
+    if not variants:
         raise EmptyLogError("cannot mine an empty set of executions")
+    n = max(n, 1)
     jobs = resolve_jobs(jobs)
     trace = trace if trace is not None else MiningTrace()
     kernel = kernel if kernel is not None else get_kernel()
     trace.kernel = kernel.name
-    trace.execution_count = sum(
-        variant.multiplicity for variant in packed
-    )
-    trace.variant_count = len(packed)
+    trace.execution_count = sum(map(itemgetter(1), variants))
+    trace.variant_count = len(variants)
     trace.jobs = jobs
-    n = max(len(table), 1)
 
     # Step 2 — union of ordered pairs, with multiplicity-weighted
     # occurrence counters.
+    result_token = (
+        n,
+        len(variants),
+        max(threshold, 1),
+        skip_scc_removal,
+        skip_execution_marking,
+    )
+    replay = (
+        kernel_state.result
+        if kernel_state is not None
+        and threshold <= 1
+        and kernel_state.result_token == result_token
+        else None
+    )
     with trace.stage("step2_counters"):
-        code_counts: Counter = Counter()
-        overlap_code_counts: Counter = Counter()
-        vertex_ids: Set[int] = set()
-        for variant in packed:
-            vertex_ids |= variant.vertices
-            count = variant.multiplicity
-            if count == 1:
-                code_counts.update(variant.pairs)
-                overlap_code_counts.update(variant.overlaps)
-            else:
-                code_counts.update(dict.fromkeys(variant.pairs, count))
-                overlap_code_counts.update(
-                    dict.fromkeys(variant.overlaps, count)
-                )
+        if counters is None:
+            code_counts: Dict[int, int] = Counter()
+            overlap_code_counts: Dict[int, int] = Counter()
+            vertex_ids: Iterable[int] = set()
+            for (vertices, pairs, overlaps), count in variants:
+                vertex_ids |= vertices
+                if count == 1:
+                    code_counts.update(pairs)
+                    overlap_code_counts.update(overlaps)
+                else:
+                    code_counts.update(dict.fromkeys(pairs, count))
+                    overlap_code_counts.update(
+                        dict.fromkeys(overlaps, count)
+                    )
+        else:
+            # The caller keeps folding into its live counters; the
+            # trace's deferred view must show them as of this call.
+            live_pairs, live_overlaps, vertex_ids = counters
+            code_counts = dict(live_pairs)
+            overlap_code_counts = dict(live_overlaps)
         # Label-level counters materialize on demand only: indexing the
         # label tuple directly beats ``table.unpack`` per code, and runs
         # not inspecting Section 6 evidence never pay at all.
-        labels = table.labels
+        label_tuple = tuple(labels)
         trace.defer_pair_counts(
-            _packed_counts_thunk(labels, n, code_counts),
+            _packed_counts_thunk(label_tuple, n, code_counts),
             len(code_counts),
         )
         trace.defer_overlap_counts(
-            _packed_counts_thunk(labels, n, overlap_code_counts)
+            _packed_counts_thunk(label_tuple, n, overlap_code_counts)
         )
-        edges: Set[int] = set(code_counts)
-        trace.edges_after_step2 = len(edges)
+        trace.edges_after_step2 = len(code_counts)
+
+    if replay is not None:
+        with trace.stage("step6_assemble"):
+            nodes, by_source, stage_counts = replay
+            for name, value in zip(_STAGE_COUNTS, stage_counts):
+                setattr(trace, name, value)
+            trace.reduction_cache_hits = len(variants)
+            graph = DiGraph.from_grouped_edges(nodes, by_source)
+        trace.publish()
+        return graph
 
     with trace.stage("step3_filters"):
         # Section 6 — drop infrequent pairs before the 2-cycle step.
         if threshold > 1:
             edges = {
-                code for code in edges if code_counts[code] >= threshold
+                code
+                for code, count in code_counts.items()
+                if count >= threshold
             }
+        else:
+            edges = set(code_counts)
         trace.edges_dropped_by_threshold = (
             trace.edges_after_step2 - len(edges)
         )
@@ -883,76 +926,116 @@ def _mine_packed(
         trace.edges_dropped_by_overlap = before_overlap - len(edges)
 
         # Step 3 — drop 2-cycles.
-        edges = {
-            code for code in edges if _reverse_code(code, n) not in edges
-        }
-        trace.edges_after_step3 = len(edges)
-        edges_after_step3 = set(edges)
+        edges_after_step3 = frozenset(
+            code for code in edges
+            if (code % n) * n + code // n not in edges
+        )
+        trace.edges_after_step3 = len(edges_after_step3)
 
     # Step 4 — drop edges inside strongly connected components of the
-    # followings graph (one id-level graph per run, not per execution).
+    # followings graph.  The Kahn pass runs first: completing it proves
+    # the graph acyclic, so the common case skips Tarjan, and its ranks
+    # are what step 5 needs.  A kernel state keyed on the step-3 edges
+    # replays the whole step: they determine its output.
     with trace.stage("step4_scc"):
-        if not skip_scc_removal and edges:
-            id_graph = DiGraph(nodes=sorted(vertex_ids))
-            for code in edges:
-                id_graph.add_edge(code // n, code % n)
-            mapping = component_map(id_graph)
-            doomed = {
-                code
-                for code in edges
-                if mapping[code // n] == mapping[code % n]
-            }
-            edges -= doomed
-            trace.scc_edge_removals = len(doomed)
-        trace.edges_after_step4 = len(edges)
+        batch_state = (
+            kernel_state.for_step3_edges(
+                edges_after_step3, n, skip_scc_removal
+            )
+            if kernel_state is not None
+            else None
+        )
+        step4 = (
+            batch_state.step4_cache if batch_state is not None else None
+        )
+        if step4 is None:
+            adjacency: Dict[int, List[int]] = {}
+            endpoints: Set[int] = set()
+            for code in edges_after_step3:
+                u, v = divmod(code, n)
+                endpoints.add(u)
+                endpoints.add(v)
+                if u in adjacency:
+                    adjacency[u].append(v)
+                else:
+                    adjacency[u] = [v]
+            removed = 0
+            if skip_scc_removal:
+                rank = _ranks_from_adjacency(adjacency, n)
+            else:
+                adjacency, rank, removed = _drop_scc_edges(adjacency, n)
+            step4 = (
+                frozenset(
+                    u * n + v
+                    for u, targets in adjacency.items()
+                    for v in targets
+                )
+                if removed
+                else edges_after_step3,
+                rank,
+                removed,
+                endpoints,
+            )
+            if batch_state is not None:
+                batch_state.step4_cache = step4
+        step4_edges, rank, removed, endpoints = step4
+        trace.scc_edge_removals = removed
+        trace.edges_after_step4 = len(step4_edges)
 
     # Steps 5–6 — keep only edges some execution's transitive reduction
     # needs.  Total-order variants batch through the kernel; the rest
-    # reduce once per distinct *induced edge set* via the memo.
+    # reduce once per distinct *induced edge set* via the memo.  A warm
+    # kernel state already covers the variants before its cursor, so
+    # only the ones folded since are looked at.
+    edges = step4_edges
     with trace.stage("step5_reduce"):
         if not skip_execution_marking:
-            # One Kahn pass over the surviving edges serves every
-            # induced subgraph; ``None`` (cyclic, only when step 4
-            # was skipped) keeps the per-reduction cycle check of
-            # the legacy pipeline and disables the batch path.
-            rank = _topological_ranks(edges, n)
             stats = ReduceStats()
+            pending: Iterable[PackedItem] = variants
+            if batch_state is not None and batch_state.cursor:
+                pending = islice(variants, batch_state.cursor, None)
+                stats.exact_hits += batch_state.cursor
             marked: Set[int] = set()
             mask_batch: List[int] = []
-            scalar_variants: Sequence[PackedVariant] = packed
+            scalar_keys: List[VariantKey] = []
             if (
                 kernel.supports_masks
                 and threshold <= 1
                 and rank is not None
-                and edges
+                and step4_edges
             ):
                 mask_cache = (
                     kernel_state.mask_cache_for(n)
                     if kernel_state is not None
                     else None
                 )
-                scalar_list: List[PackedVariant] = []
-                for variant in packed:
-                    smask = _total_order_mask(variant, n, mask_cache)
+                for key, _ in pending:
+                    smask = _total_order_mask(key, n, mask_cache)
                     if smask is None:
-                        scalar_list.append(variant)
+                        scalar_keys.append(key)
                     else:
                         mask_batch.append(smask)
-                scalar_variants = scalar_list
+            else:
+                scalar_keys = [key for key, _ in pending]
             if mask_batch:
-                ctx = ReduceContext.from_edges(edges, n, rank or {})
-                batch_state = (
-                    kernel_state.for_edges(edges, n)
-                    if kernel_state is not None
+                ctx = (
+                    batch_state.context
+                    if batch_state is not None
                     else None
                 )
+                if ctx is None:
+                    ctx = ReduceContext.from_edges(
+                        step4_edges, n, rank or {}
+                    )
+                    if batch_state is not None:
+                        batch_state.context = ctx
                 if (
                     jobs > 1
                     and batch_state is None
                     and len(mask_batch) >= _MASK_FANOUT_MIN
                 ):
                     marked |= _reduce_masks_parallel(
-                        kernel, ctx, edges, rank or {}, mask_batch,
+                        kernel, ctx, step4_edges, rank or {}, mask_batch,
                         stats, jobs, trace.recorder,
                     )
                 else:
@@ -960,8 +1043,8 @@ def _mine_packed(
                         ctx, mask_batch, batch_state, stats
                     )
             seen_keys: Dict[FrozenSet[int], None] = {}
-            for variant in scalar_variants:
-                induced = variant.pairs & edges
+            for _, pairs, _ in scalar_keys:
+                induced = pairs & step4_edges
                 if induced not in seen_keys:
                     seen_keys[induced] = None
             distinct_keys = list(seen_keys)
@@ -1001,8 +1084,12 @@ def _mine_packed(
                             reduction_memo[key] = kept
                         marked |= kept
                 stats.bump("scalar", len(missing))
+            if batch_state is not None:
+                batch_state.marked_union |= marked
+                batch_state.cursor = len(variants)
+                marked = batch_state.marked_union
             trace.reduction_cache_hits = (
-                len(scalar_variants) - len(missing) + stats.exact_hits
+                len(scalar_keys) - len(missing) + stats.exact_hits
             )
             trace.reduction_cache_misses = len(missing) + stats.misses
             trace.reduction_cache_prefix_extends = stats.prefix_extends
@@ -1013,28 +1100,73 @@ def _mine_packed(
     # pipeline exactly: every variant vertex, plus the endpoints of the
     # edges that survived step 3 (even if steps 4–6 later pruned them).
     with trace.stage("step6_assemble"):
-        node_ids = set(vertex_ids)
-        for code in edges_after_step3:
-            node_ids.add(code // n)
-            node_ids.add(code % n)
-        graph = DiGraph(
-            nodes=sorted(
-                (table.label_of(vertex_id) for vertex_id in node_ids),
-                key=repr,
-            )
+        nodes = sorted(
+            (labels[vertex_id] for vertex_id in endpoints.union(vertex_ids)),
+            key=repr,
         )
-        labels = table.labels
-        by_source: Dict[int, List[int]] = {}
-        for code in edges:
-            u, v = divmod(code, n)
-            by_source.setdefault(u, []).append(v)
-        for u, targets in by_source.items():
-            graph.add_edges_bulk(
-                labels[u], [labels[v] for v in targets]
-            )
+        position = {label: index for index, label in enumerate(nodes)}
+        edge_pairs = sorted(
+            ((labels[code // n], labels[code % n]) for code in edges),
+            key=lambda edge: (position[edge[0]], position[edge[1]]),
+        )
+        by_source = [
+            (source, [target for _, target in group])
+            for source, group in groupby(edge_pairs, key=itemgetter(0))
+        ]
+        graph = DiGraph.from_grouped_edges(nodes, by_source)
         trace.edges_after_step6 = graph.edge_count
+    if kernel_state is not None:
+        kernel_state.result_token = result_token
+        kernel_state.result = (
+            nodes,
+            by_source,
+            tuple(getattr(trace, name) for name in _STAGE_COUNTS),
+        )
     trace.publish()
     return graph
+
+
+#: The per-stage edge counts a replayed result restores on the trace.
+_STAGE_COUNTS = (
+    "edges_after_step2",
+    "edges_dropped_by_threshold",
+    "edges_dropped_by_overlap",
+    "edges_after_step3",
+    "scc_edge_removals",
+    "edges_after_step4",
+    "edges_after_step6",
+)
+
+
+def _drop_scc_edges(
+    adjacency: Dict[int, List[int]], n: int
+) -> Tuple[Dict[int, List[int]], Dict[int, int], int]:
+    """Step 4 over an id-list adjacency.
+
+    Returns the adjacency without the edges inside strongly connected
+    components, its topological ranks and how many edges were dropped.
+    A completed Kahn pass proves every component a singleton, so the
+    acyclic case — the common one — never runs Tarjan.
+    """
+    rank = _ranks_from_adjacency(adjacency, n) if adjacency else {}
+    if rank is not None:
+        return adjacency, rank, 0
+    mapping = component_map_adjacency(adjacency)
+    kept_adjacency: Dict[int, List[int]] = {}
+    removed = 0
+    for u, targets in adjacency.items():
+        component = mapping[u]
+        kept = [v for v in targets if mapping[v] != component]
+        removed += len(targets) - len(kept)
+        if kept:
+            kept_adjacency[u] = kept
+    # Cross-component edges condense to a DAG, so this second pass
+    # always succeeds.
+    return (
+        kept_adjacency,
+        _ranks_from_adjacency(kept_adjacency, n) or {},
+        removed,
+    )
 
 
 def _packed_counts_thunk(
@@ -1310,30 +1442,14 @@ def _mine_rows(
                     row ^= bit
                     targets.append(bit.bit_length() - 1)
                 adjacency[u] = targets
-            removed = 0
-            rank = (
-                _ranks_from_adjacency(adjacency, n) if adjacency else {}
-            )
-            if rank is None:
-                mapping = component_map_adjacency(adjacency)
-                for u, targets in list(adjacency.items()):
-                    component = mapping[u]
-                    kept = [
-                        v for v in targets if mapping[v] != component
-                    ]
-                    if len(kept) != len(targets):
-                        removed += len(targets) - len(kept)
-                        mask = 0
-                        for v in kept:
-                            mask |= one[v]
-                        erows[u] = mask
-                        if kept:
-                            adjacency[u] = kept
-                        else:
-                            del adjacency[u]
-                # Cross-component edges condense to a DAG, so this
-                # second pass always succeeds.
-                rank = _ranks_from_adjacency(adjacency, n) or {}
+            adjacency, rank, removed = _drop_scc_edges(adjacency, n)
+            if removed:
+                erows = [0] * n
+                for u, targets in adjacency.items():
+                    mask = 0
+                    for v in targets:
+                        mask |= one[v]
+                    erows[u] = mask
             if batch_state is not None:
                 batch_state.step4_cache = (
                     erows, adjacency, rank, removed
@@ -1529,8 +1645,9 @@ def mine_general_dag(
             recorder=trace.recorder,
         )
     return _mine_packed(
-        table,
-        variants,
+        table.labels,
+        len(table),
+        _keyed(variants),
         threshold=threshold,
         trace=trace,
         jobs=jobs,

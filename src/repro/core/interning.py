@@ -20,7 +20,6 @@ checkpoints and parallel workers sharing a table agree byte-for-byte.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain
 from typing import (
     Dict,
@@ -28,6 +27,7 @@ from typing import (
     Hashable,
     Iterable,
     List,
+    NamedTuple,
     Sequence,
     Tuple,
 )
@@ -121,9 +121,12 @@ class InternTable:
         return frozenset(index[v] for v in vertices)
 
 
-@dataclass(frozen=True)
-class PackedVariant:
+class PackedVariant(NamedTuple):
     """One deduplicated trace variant in packed form.
+
+    A named tuple, so ``variant[:3]`` is the ``(vertices, pairs,
+    overlaps)`` key :class:`~repro.core.state.MiningState` stores its
+    variants under — the shape the step 2–6 core consumes.
 
     Attributes
     ----------

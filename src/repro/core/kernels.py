@@ -247,30 +247,41 @@ class ReduceContext:
 class KernelState:
     """Cross-call reduction cache for incremental mining.
 
-    Holds everything the batch path may reuse between calls whose step-4
-    edge set is unchanged: the set of already-reduced variant vertex
-    masks, the union of their kept edges, and the prefix trie of walker
-    states.  Any change to the edge set (or the packing modulus) resets
-    the state — a reduction is only a function of ``(edges, S)``.
+    Holds everything steps 4-5 may reuse between calls on the same
+    edges (the token: step-3 rows or edge codes, which fix step 4, or
+    a step-4 edge set): the cached step-4 output, the set of
+    already-reduced variant vertex masks, the union of the kept edges
+    of every variant reduced so far, the prefix trie of walker states,
+    and :attr:`cursor` — how many of the caller's variants that union
+    already covers.  A new token (or packing modulus) resets all of it
+    together: a reduction is only a function of ``(edges, variant)``.
 
-    The cached union assumes the variant population only *grows* between
-    calls on the same edge set (true for :class:`~repro.core.state.
-    MiningState` and the incremental miner, which re-finish supersets);
-    callers without that property should pass a fresh state per call.
+    The cursor assumes the caller's variant sequence is *append-only*
+    between calls on the same state (true for :class:`~repro.core.
+    state.MiningState`, whose insertion-ordered variant table only
+    grows and keeps its order across repacks, and for the incremental
+    miner built on it): variants ``[0, cursor)`` are then exactly the
+    ones already reduced, and a call reduces only the ones after them.
+    Callers without that property should pass a fresh state per call.
     """
 
     edges_token: Optional[Tuple[object, ...]] = None
     seen_masks: Set[int] = field(default_factory=set)
     marked_union: Set[int] = field(default_factory=set)
+    #: Variants (a prefix of the caller's sequence) already reduced
+    #: into :attr:`marked_union` under the current token.
+    cursor: int = 0
     #: rank-prefix tuple -> (ancestor-mask tuple, kept-code tuple)
     trie: Dict[Tuple[int, ...], Tuple[Tuple[int, ...], Tuple[int, ...]]] = (
         field(default_factory=dict)
     )
-    #: Step-4 output cached by the row pipeline for the current token:
-    #: ``(erows, adjacency, rank, scc_removed)``.
-    step4_cache: Optional[
-        Tuple[List[int], Dict[int, List[int]], Dict[int, int], int]
-    ] = None
+    #: Step-4 output cached for the current token, in the shape of the
+    #: pipeline that keyed it: ``(erows, adjacency, rank, removed)``
+    #: for the row pipeline, ``(edges, rank, removed, endpoints)`` for
+    #: the packed one.
+    step4_cache: Optional[Tuple[Any, ...]] = None
+    #: The step-5 reduction context built from the cached step 4.
+    context: Optional[ReduceContext] = None
     #: pairs frozenset -> total-order vertex mask (or None verdict);
     #: edges-independent, so it survives ``for_edges`` resets and only
     #: clears when the packing modulus changes.
@@ -278,6 +289,19 @@ class KernelState:
         default_factory=dict
     )
     mask_cache_n: Optional[int] = None
+    #: The last finished result of the packed pipeline and the token it
+    #: is valid for (see ``repro.core.general_dag._mine_packed``).
+    result_token: Optional[Tuple[object, ...]] = None
+    result: Optional[Tuple[object, ...]] = None
+
+    def _reset(self, token: Tuple[object, ...]) -> None:
+        self.edges_token = token
+        self.seen_masks = set()
+        self.marked_union = set()
+        self.cursor = 0
+        self.trie = {}
+        self.step4_cache = None
+        self.context = None
 
     def for_edges(
         self, edges: Set[int], n: int
@@ -285,11 +309,7 @@ class KernelState:
         """Reset the state unless it matches ``(n, edges)``; return self."""
         token: Tuple[object, ...] = (n, frozenset(edges))
         if self.edges_token != token:
-            self.edges_token = token
-            self.seen_masks = set()
-            self.marked_union = set()
-            self.trie = {}
-            self.step4_cache = None
+            self._reset(token)
         return self
 
     def for_step3_rows(
@@ -304,11 +324,22 @@ class KernelState:
         """
         token: Tuple[object, ...] = (n, "rows", tuple(rows))
         if self.edges_token != token:
-            self.edges_token = token
-            self.seen_masks = set()
-            self.marked_union = set()
-            self.trie = {}
-            self.step4_cache = None
+            self._reset(token)
+        return self
+
+    def for_step3_edges(
+        self, edges: FrozenSet[int], n: int, skip_scc_removal: bool
+    ) -> "KernelState":
+        """Reset the state unless the step-3 edge codes match.
+
+        Packed-pipeline counterpart of :meth:`for_step3_rows`: step 4
+        is a function of the step-3 edges (and of whether it runs at
+        all), so they key its cached output as well as every reduction
+        made on it.
+        """
+        token: Tuple[object, ...] = (n, "edges", skip_scc_removal, edges)
+        if self.edges_token != token:
+            self._reset(token)
         return self
 
     def mask_cache_for(

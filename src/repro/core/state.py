@@ -17,19 +17,21 @@ per-vertex presence counts — is a *commutative monoid* over executions.
   even that), so a log can be sharded arbitrarily, mined per shard and
   merged in any order or grouping.  Vertex ids are relabelled across
   the two intern tables during the merge.
-* :meth:`MiningState.finish` — run steps 3–6 of the packed pipeline
+* :meth:`MiningState.finish` — run steps 2–6 of the packed pipeline
   over the accumulated variants, honoring the Section 6 noise
-  threshold.  The result is *identical* to batch-mining the full log.
+  threshold.  The result is *identical* to batch-mining the full log,
+  and repeated calls cost what was folded since the last one.
 
 Unlike :class:`~repro.core.interning.InternTable` (immutable by
 design), the state's internal label table grows as new labels stream
 in.  Packed pair codes therefore use a private *capacity* modulus that
 doubles when outgrown, repacking all stored codes — amortized linear,
-exactly like a growing hash table.  :meth:`finish` and
-:meth:`to_payload` remap those private codes onto a canonical
-``InternTable`` (labels sorted by ``repr``), which is why two states
-with equal content serialize byte-for-byte equal regardless of the
-order anything was folded in.
+exactly like a growing hash table.  :meth:`finish` runs in those
+private codes and orders the graph it builds by label ``repr``;
+:meth:`to_payload` remaps them onto a canonical ``InternTable`` (labels
+sorted by ``repr``).  Either way the output does not depend on the
+order anything was folded in: two states with equal content finish to
+the same graph and serialize byte-for-byte equal.
 
 The canonical serialization is also the incremental miner's
 **checkpoint format v3** (:func:`save_state` / :func:`load_state`):
@@ -71,7 +73,7 @@ from typing import (
     Union,
 )
 
-from repro.core.interning import InternTable, PackedVariant
+from repro.core.interning import InternTable
 from repro.core.kernels import KernelState, get_kernel
 from repro.core.parallel import (
     RetryPolicy,
@@ -220,13 +222,15 @@ class MiningState:
         self.memo_misses = 0
         self.memo_evictions = 0
         # Step-5 reduction memo reused across finish() calls while the
-        # label set is unchanged (a DAG's transitive reduction depends
+        # capacity is unchanged (a DAG's transitive reduction depends
         # only on the induced edge set).
-        self._memo_labels: Optional[Tuple[Vertex, ...]] = None
+        self._memo_cap = 0
         self._memo: Dict[FrozenSet[int], FrozenSet[int]] = {}
-        # Batched-kernel counterpart of the memo: reduced variant masks,
-        # their kept-edge union and the prefix trie, valid while the
-        # step-4 edge set is unchanged (KernelState resets itself).
+        # Incremental step 5: reduced variant masks, the kept-edge union
+        # of every variant before its cursor, the cached step 4 and the
+        # prefix trie, valid while the step-3 edge set is unchanged
+        # (KernelState resets itself), plus the last graph for a finish
+        # with no new variant.
         self._kernel_state = KernelState()
 
     # ------------------------------------------------------------------
@@ -705,48 +709,16 @@ class MiningState:
         return clone
 
     # ------------------------------------------------------------------
-    # Finish (steps 3–6)
+    # Finish (steps 2–6)
     # ------------------------------------------------------------------
-    def packed(self) -> Tuple[InternTable, List[PackedVariant]]:
-        """The accumulated variants in the batch pipeline's packed form.
-
-        Labels are canonicalized into an immutable
-        :class:`~repro.core.interning.InternTable` (sorted by ``repr``)
-        and every private capacity-packed code is remapped onto the
-        table's ``u_id * n + v_id`` encoding, so the result plugs
-        straight into ``_mine_packed`` — and is content-identical for
-        any fold/merge order that produced the same state.
-        """
-        table = InternTable(self._labels)
-        id_map = [table.id_of(label) for label in self._labels]
-        n = max(len(table), 1)
-        cap = self._cap
-
-        def remap(codes: FrozenSet[int]) -> FrozenSet[int]:
-            return frozenset(
-                id_map[code // cap] * n + id_map[code % cap]
-                for code in codes
-            )
-
-        variants = [
-            PackedVariant(
-                vertices=frozenset(id_map[v] for v in vertices),
-                pairs=remap(pairs),
-                overlaps=remap(overlaps),
-                multiplicity=count,
-            )
-            for (vertices, pairs, overlaps), count
-            in self._variants.items()
-        ]
-        return table, variants
-
-    def _reduction_memo_for(
-        self, table: InternTable
+    def _reduction_memo_for_cap(
+        self,
     ) -> Dict[FrozenSet[int], FrozenSet[int]]:
-        # The memo keys are induced edge sets packed against the
-        # canonical table, so any label-set change invalidates it.
-        if self._memo_labels != table.labels:
-            self._memo_labels = table.labels
+        # The memo keys are induced edge sets in the state's own pair
+        # codes: new labels leave every stored code as it is, and only a
+        # repack (a new capacity) re-encodes them.
+        if self._memo_cap != self._cap:
+            self._memo_cap = self._cap
             self._memo = {}
         return self._memo
 
@@ -759,22 +731,29 @@ class MiningState:
         skip_execution_marking: bool = False,
         kernel: Optional[str] = None,
     ) -> "DiGraph":
-        """Run steps 3–6 over the accumulated variants.
+        """Run steps 2–6 over the accumulated variants.
 
         Identical to :func:`~repro.core.general_dag.mine_general_dag`
         (or, for labelled states, to the instance graph of
         :func:`~repro.core.cyclic.mine_cyclic`) over the full log the
         state was folded from — the differential test suite asserts
-        this for arbitrary shard splits and merge orders.
+        this for arbitrary shard splits and merge orders, and that the
+        graph is node- and edge-order-identical to a cold finish of the
+        state rebuilt from :meth:`to_payload`.
 
         Raises :class:`~repro.errors.EmptyLogError` when nothing was
-        folded in yet.  Repeated calls reuse a persistent step-5
-        reduction memo while the label set is unchanged — and, under a
-        mask-capable ``kernel`` (``None`` defers to ``REPRO_KERNEL``,
-        defaulting to ``bitset``), a persistent
-        :class:`~repro.core.kernels.KernelState` of already-reduced
-        variant masks — so re-materializing after a few new executions
-        is cheap.
+        folded in yet.
+
+        The pipeline runs in the state's own pair codes and takes step
+        2 from the counters the fold maintains, so a call pays for the
+        pair set, not the log.  Repeated calls are incremental: the
+        persistent :class:`~repro.core.kernels.KernelState` remembers
+        how many variants (in insertion order — the variant table only
+        grows) step 5 has already reduced on the current step-3 edge
+        set and reduces only the ones folded since; with ``threshold <=
+        1`` a call after folds that added no new variant returns the
+        previous graph.  The threshold > 1 and repeated-activity
+        variants still verify per call in ``O(variants)``.
         """
         # Local import: general_dag imports interning/parallel like this
         # module does, and the incremental miner sits on top of both.
@@ -782,20 +761,20 @@ class MiningState:
 
         if threshold < 0:
             raise ValueError("threshold must be >= 0")
-        trace = trace if trace is not None else MiningTrace()
-        with trace.stage("intern"):
-            table, variants = self.packed()
         return _mine_packed(
-            table,
-            variants,
+            self._labels,
+            self._cap,
+            self._variants.items(),
             threshold=threshold,
-            trace=trace,
+            trace=trace if trace is not None else MiningTrace(),
             skip_scc_removal=skip_scc_removal,
             skip_execution_marking=skip_execution_marking,
             jobs=jobs,
-            reduction_memo=self._reduction_memo_for(table),
+            reduction_memo=self._reduction_memo_for_cap(),
             kernel=get_kernel(kernel),
             kernel_state=self._kernel_state,
+            counters=(self._pair_counts, self._overlap_counts,
+                      self._presence),
         )
 
     # ------------------------------------------------------------------

@@ -14,7 +14,7 @@ renderings) so that mined graphs print reproducibly.
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Iterable, Iterator, Set, Tuple
+from typing import Dict, Hashable, Iterable, Iterator, Sequence, Set, Tuple
 
 from repro.errors import DuplicateNodeError, NodeNotFoundError
 
@@ -130,6 +130,28 @@ class DiGraph:
         succ[source].update(targets)
         for target in targets:
             pred[target].add(source)
+
+    @classmethod
+    def from_grouped_edges(
+        cls,
+        nodes: Iterable[Node],
+        by_source: Iterable[Tuple[Node, Sequence[Node]]],
+    ) -> "DiGraph":
+        """A graph from its nodes and ``(source, targets)`` edge groups.
+
+        Every endpoint must be among ``nodes``.  Builds exactly what
+        :meth:`add_edges_bulk` per group would, minus its per-call
+        endpoint checks — the mining state re-materializes an unchanged
+        model this way on every read.
+        """
+        graph = cls(nodes=nodes)
+        succ = graph._succ
+        pred = graph._pred
+        for source, targets in by_source:
+            succ[source].update(targets)
+            for target in targets:
+                pred[target].add(source)
+        return graph
 
     def remove_edge(self, source: Node, target: Node) -> None:
         """Remove the edge ``(source, target)``; missing edges are ignored.

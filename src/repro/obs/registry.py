@@ -308,6 +308,11 @@ DECLARED_METRICS: Tuple[MetricSpec, ...] = (
         "Records decoded per push_batch block",
         "source",
     ),
+    _histogram(
+        "repro_service_snapshot_seconds",
+        "Wall time per model snapshot refresh (a read or flush past "
+        "new folds)",
+    ),
 )
 
 _BY_NAME: Dict[str, MetricSpec] = {

@@ -17,35 +17,55 @@ See ``docs/SERVICE.md`` for the endpoint contract, backpressure and
 shutdown semantics.
 """
 
-from repro.service.client import ClientResponse, ServiceClient
-from repro.service.registry import (
-    ModelSnapshot,
-    ServiceError,
-    Tenant,
-    TenantConfig,
-    TenantRegistry,
-)
-from repro.service.server import (
-    Request,
-    Response,
-    ServiceApp,
-    ServiceConfig,
-    ServiceServer,
-    serve,
-)
+from importlib import import_module
+from typing import TYPE_CHECKING
 
-__all__ = [
-    "ClientResponse",
-    "ModelSnapshot",
-    "Request",
-    "Response",
-    "ServiceApp",
-    "ServiceClient",
-    "ServiceConfig",
-    "ServiceError",
-    "ServiceServer",
-    "Tenant",
-    "TenantConfig",
-    "TenantRegistry",
-    "serve",
-]
+if TYPE_CHECKING:
+    from repro.service.client import ClientResponse, ServiceClient
+    from repro.service.registry import (
+        ModelSnapshot,
+        ServiceError,
+        Tenant,
+        TenantConfig,
+        TenantRegistry,
+    )
+    from repro.service.server import (
+        Request,
+        Response,
+        ServiceApp,
+        ServiceConfig,
+        ServiceServer,
+        serve,
+    )
+
+#: Re-export -> defining submodule.  Resolved on first access (PEP
+#: 562), so importing a light submodule — ``mine`` renders through
+#: :mod:`repro.service.wire` — does not load the daemon and asyncio.
+_EXPORTS = {
+    "ClientResponse": "client",
+    "ServiceClient": "client",
+    "ModelSnapshot": "registry",
+    "ServiceError": "registry",
+    "Tenant": "registry",
+    "TenantConfig": "registry",
+    "TenantRegistry": "registry",
+    "Request": "server",
+    "Response": "server",
+    "ServiceApp": "server",
+    "ServiceConfig": "server",
+    "ServiceServer": "server",
+    "serve": "server",
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str) -> object:
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(
+            f"module {__name__!r} has no attribute {name!r}"
+        )
+    value = getattr(import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value

@@ -4,8 +4,13 @@ A *tenant* is everything the daemon holds for one process id: a
 :class:`~repro.logs.ingest.IngestStream` (the same policy/window
 machinery the CLI streams through), a
 :class:`~repro.resilience.session.DurableSession` (journal-before-fold,
-``checkpoint_every`` rotation) and a cached :class:`ModelSnapshot` the
-read endpoints serve from so a model fetch never waits on a fold.
+``checkpoint_every`` rotation) and a :class:`ModelSnapshot` of the
+mined model.  Snapshots are *read-through*: a read refreshes the
+snapshot when folds went by since it was taken, so it covers every
+execution folded before the read, and a tenant nobody reads pays
+nothing for snapshots.  The incremental
+:meth:`~repro.core.state.MiningState.finish` makes such a refresh cost
+the variants folded since the last one, not the whole log.
 
 Everything in this module is synchronous and loop-agnostic — the
 asyncio layer in :mod:`repro.service.server` wraps tenants in queues
@@ -22,6 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
+from time import perf_counter
 from typing import Dict, List, Optional, Tuple
 from urllib.parse import quote, unquote
 
@@ -83,8 +89,6 @@ class TenantConfig:
     threshold: int = 0
     window: int = DEFAULT_STREAM_WINDOW
     checkpoint_every: int = DEFAULT_CHECKPOINT_EVERY
-    #: Refresh the cached model once this many folds accumulate past it.
-    snapshot_every: int = 64
     kernel: Optional[str] = None
     limits: IngestLimits = field(default_factory=IngestLimits)
 
@@ -94,8 +98,6 @@ class TenantConfig:
                 f"algorithm must be one of {TENANT_ALGORITHMS}, "
                 f"got {self.algorithm!r}"
             )
-        if self.snapshot_every < 1:
-            raise ValueError("snapshot_every must be >= 1")
 
     @property
     def labelled(self) -> bool:
@@ -103,15 +105,17 @@ class TenantConfig:
         return self.algorithm != ALGORITHM_GENERAL
 
 
-@dataclass(frozen=True)
+@dataclass
 class ModelSnapshot:
-    """One finalized view of a tenant's model, served lock-free.
+    """One finalized view of a tenant's model.
 
     ``seq`` is the journal sequence (== folded executions) the snapshot
-    covers; ``envelope`` is the canonical v3 state envelope for the
+    covers.  ``envelope`` is the canonical v3 state envelope for the
     *resolved* state — the same bytes ``mine --stream --state-out``
     writes for this log, which is what makes ``GET /v1/{p}/state``
-    byte-comparable to the CLI.
+    byte-comparable to the CLI.  Only that endpoint needs it, so it is
+    rendered on the first state read at ``seq`` (see
+    :meth:`Tenant.state_snapshot`) and ``None`` until then.
     """
 
     seq: int
@@ -119,9 +123,9 @@ class ModelSnapshot:
     graph: DiGraph
     executions: int
     variants: int
-    envelope: str
     source: Optional[str]
     sink: Optional[str]
+    envelope: Optional[str] = None
 
 
 class Tenant:
@@ -171,10 +175,7 @@ class Tenant:
     # ------------------------------------------------------------------
     def recover(self) -> RecoveryReport:
         """Recover the durable session (call once, right after init)."""
-        recovery = self.session.recover()
-        if recovery.covered:
-            self.refresh_snapshot()
-        return recovery
+        return self.session.recover()
 
     def close(self) -> HandoffReceipt:
         """Graceful shutdown: flush open windows, checkpoint, hand off.
@@ -244,7 +245,7 @@ class Tenant:
     def flush(self) -> int:
         """Finalize every open execution window and refresh the model."""
         folded = self.fold(self.stream.flush())
-        self.refresh_snapshot()
+        self.snapshot()
         return folded
 
     # ------------------------------------------------------------------
@@ -252,32 +253,25 @@ class Tenant:
     # ------------------------------------------------------------------
     @property
     def stale(self) -> bool:
-        """Whether folds have accumulated past the cached snapshot."""
+        """Whether folds went by since the snapshot was taken."""
         covered = self.session.covered_seq
         if not covered:
             return False
         return self._snapshot is None or self._snapshot.seq != covered
-
-    def maybe_refresh(self) -> None:
-        """Refresh the snapshot if ``snapshot_every`` folds went by."""
-        covered = self.session.covered_seq
-        if not covered:
-            return
-        if (
-            self._snapshot is None
-            or covered - self._snapshot.seq >= self.config.snapshot_every
-        ):
-            self.refresh_snapshot()
 
     def refresh_snapshot(self) -> Optional[ModelSnapshot]:
         """Finalize the current state into a fresh :class:`ModelSnapshot`.
 
         Resolution mirrors ``mine --stream`` exactly: ``auto`` folds the
         labelled view and picks ``cyclic`` when repetition was observed,
-        otherwise projects onto the plain state and finishes as
-        ``general-dag`` — so the snapshot's graph and envelope match the
-        batch CLI's output for the same records.
+        otherwise ``general-dag`` — so the snapshot's graph matches the
+        batch CLI's output for the same records.  Either way the state
+        that was folded is the one finished, so its incremental
+        :meth:`~repro.core.state.MiningState.finish` carries over from
+        one refresh to the next; a repetition-free labelled graph is
+        projected onto activities afterwards.
         """
+        started = perf_counter()
         state = self.session.state
         if state.execution_count == 0:
             self._snapshot = None
@@ -287,16 +281,16 @@ class Tenant:
             labelled and state.has_repetition()
         ):
             algorithm = ALGORITHM_CYCLIC
-            resolved = state
         else:
             algorithm = ALGORITHM_GENERAL
-            resolved = state.to_plain() if labelled else state
-        graph = resolved.finish(
+        graph = state.finish(
             threshold=self.config.threshold,
             kernel=self.config.kernel,
         )
         if algorithm == ALGORITHM_CYCLIC:
             graph = merge_instances(graph)
+        elif labelled:
+            graph = _activity_view(graph)
         source = (
             next(iter(self._firsts)) if len(self._firsts) == 1 else None
         )
@@ -305,28 +299,42 @@ class Tenant:
             seq=self.session.covered_seq,
             algorithm=algorithm,
             graph=graph,
-            executions=resolved.execution_count,
-            variants=resolved.variant_count,
-            envelope=state_envelope(
-                resolved, threshold=self.config.threshold
-            ),
+            executions=state.execution_count,
+            variants=state.variant_count,
             source=source,
             sink=sink,
         )
         self.recorder.count("repro_service_snapshots_total")
+        self.recorder.observe(
+            "repro_service_snapshot_seconds", perf_counter() - started
+        )
         return self._snapshot
 
     def snapshot(self) -> Optional[ModelSnapshot]:
-        """The cached model view, materializing the first one lazily."""
-        if self._snapshot is None and self.session.covered_seq:
+        """The model as of every fold so far (refreshed if stale)."""
+        if self.stale:
             self.refresh_snapshot()
         return self._snapshot
 
-    def fresh_snapshot(self) -> Optional[ModelSnapshot]:
-        """A snapshot guaranteed to cover every fold so far."""
-        if self.stale:
-            self.refresh_snapshot()
-        return self.snapshot()
+    def state_snapshot(self) -> Optional[ModelSnapshot]:
+        """:meth:`snapshot`, with its state envelope rendered.
+
+        The envelope is rendered from the live state, which is at
+        ``snapshot.seq`` right after :meth:`snapshot` (callers hold the
+        tenant lock), and cached on the snapshot for later state reads.
+        ``auto`` resolved to general-dag serializes the plain view, as
+        ``mine --stream --state-out`` does.
+        """
+        snapshot = self.snapshot()
+        if snapshot is None or snapshot.envelope is not None:
+            return snapshot
+        state = self.session.state
+        if snapshot.algorithm == ALGORITHM_GENERAL and state.labelled:
+            state = state.to_plain()
+        snapshot.envelope = state_envelope(
+            state, threshold=self.config.threshold
+        )
+        return snapshot
 
     # ------------------------------------------------------------------
     # Lint
@@ -338,7 +346,7 @@ class Tenant:
         ``mine --stream``'s built-in verification), so the PM3xx
         log-vs-model rules don't run here.
         """
-        snapshot = self.fresh_snapshot()
+        snapshot = self.snapshot()
         if snapshot is None:
             raise ServiceError(
                 f"process {self.process!r} has no model yet", status=404
@@ -383,6 +391,36 @@ class Tenant:
                 self._snapshot.seq if self._snapshot else None
             ),
         }
+
+
+def _activity_view(instance_graph: DiGraph) -> DiGraph:
+    """Project a repetition-free instance graph onto its activities.
+
+    Every vertex is ``(activity, 1)``, and ``repr`` orders those tuples
+    as it orders the bare names, so inserting in the instance graph's
+    order rebuilds exactly the graph a plain finish of the same log
+    returns, node and edge order included.
+    """
+    nodes = list(instance_graph.nodes())
+    position = {node: index for index, node in enumerate(nodes)}
+    by_source = []
+    for node in nodes:
+        targets = instance_graph.successors(node)
+        if targets:
+            by_source.append(
+                (
+                    node[0],
+                    [
+                        target[0]
+                        for target in sorted(
+                            targets, key=position.__getitem__
+                        )
+                    ],
+                )
+            )
+    return DiGraph.from_grouped_edges(
+        [activity for activity, _ in nodes], by_source
+    )
 
 
 def tenant_directory_name(process: str) -> str:

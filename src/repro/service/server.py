@@ -11,9 +11,10 @@ surface is :data:`repro.service.router.ROUTES`; the semantics:
   every open execution window, refresh the model snapshot; returns the
   ingest accounting.  The synchronization point batch-parity checks
   hinge on.
-* ``GET /v1/{process}/model`` — the mined model from the cached
-  snapshot (``?format=json|dot|edges|ascii``); text formats are
-  byte-identical to ``repro-miner mine`` stdout for the same records.
+* ``GET /v1/{process}/model`` — the mined model as of every execution
+  folded before the read (``?format=json|dot|edges|ascii``); text
+  formats are byte-identical to ``repro-miner mine`` stdout for the
+  same records.
 * ``GET /v1/{process}/state`` — the canonical v3 state envelope,
   byte-identical to ``mine --stream --state-out``.
 * ``POST /v1/{process}/lint`` — the structural lint rules over the
@@ -25,9 +26,10 @@ Ingest work runs *off* the event loop: request bodies decode in a
 small executor pool, and each tenant's worker task hands whole queued
 batches to a single fold thread (``Tenant.ingest`` → ``push_batch``),
 so large folds never stall request handling.  A per-tenant lock
-serializes the fold thread against loop-side snapshot refreshes, so
-reads are still served from snapshots — never from a half-folded
-state — and queue backpressure (429 on a full queue) is unchanged.
+serializes the fold thread against loop-side reads, which refresh the
+tenant's snapshot when folds went by since the last one — so a read
+sees every fold completed before it and never a half-folded state, and
+queue backpressure (429 on a full queue) is unchanged.
 Graceful shutdown (SIGTERM/SIGINT) drains every queue, flushes open
 windows, checkpoints every tenant via
 :meth:`~repro.resilience.session.DurableSession.handoff`, and a
@@ -205,8 +207,6 @@ class TenantWorker:
                     self.queue.qsize(),
                     labels={"process": self.tenant.process},
                 )
-            if self.queue.empty():
-                self.tenant.maybe_refresh()
 
     async def drain(self) -> None:
         """Wait until every queued batch has been folded."""
@@ -304,10 +304,11 @@ class ServiceApp:
     async def maintenance_pass(self) -> int:
         """Periodic window finalization for idle tenants.
 
-        A tenant whose queue is empty, whose snapshot is stale, and
-        which has not folded anything for ``idle_flush_seconds`` gets
-        its open execution windows flushed — so a quiescent tenant's
-        model converges without requiring a client-side flush.
+        A tenant whose queue is empty, which holds open execution
+        windows, and which has not folded anything for
+        ``idle_flush_seconds`` gets those windows flushed — so a
+        quiescent tenant's model converges without requiring a
+        client-side flush.
         """
         if self.config.idle_flush_seconds <= 0:
             return 0
@@ -319,10 +320,7 @@ class ServiceApp:
                 worker.queue.empty()
                 and not worker.lock.locked()
                 and idle >= self.config.idle_flush_seconds
-                and (
-                    worker.tenant.stream.open_executions
-                    or worker.tenant.stale
-                )
+                and worker.tenant.stream.open_executions
             ):
                 async with worker.lock:
                     worker.tenant.flush()
@@ -521,7 +519,7 @@ class ServiceApp:
     ) -> Response:
         tenant = self._tenant_for_read(process)
         snapshot = await self._with_tenant(
-            process, tenant.fresh_snapshot
+            process, tenant.state_snapshot
         )
         if snapshot is None:
             raise ServiceError(

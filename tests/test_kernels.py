@@ -439,6 +439,10 @@ def test_mining_state_reuses_kernel_state_across_finishes():
         again_trace.reduction_cache_hits
         >= first_trace.reduction_cache_misses
     )
+    # No new variant: the second finish reduces nothing at all.
+    assert again_trace.reduction_cache_prefix_extends == 0
+    assert again_trace.reduction_paths == {}
+    assert list(again.edges()) == list(first.edges())
 
 
 def test_incremental_growth_hits_prefix_cache():

@@ -24,6 +24,7 @@ from pathlib import Path
 import pytest
 
 from repro.cli import main
+from repro.core.state import MiningState, state_envelope
 from repro.logs.execution import Execution
 from repro.logs.jsonl import record_to_json
 from repro.obs import ObsRecorder, parse_prometheus
@@ -128,6 +129,38 @@ class TestWire:
         assert block == stdout
 
 
+    def test_cli_render_import_leaves_the_daemon_unloaded(self):
+        """``mine`` renders through wire; that must not load asyncio."""
+        probe = (
+            "import sys, repro.cli, repro.service.wire\n"
+            "print(sorted(name for name in ('repro.service.server', "
+            "'asyncio') if name in sys.modules))\n"
+        )
+        env = dict(
+            os.environ,
+            PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"),
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", probe],
+            env=env,
+            capture_output=True,
+            text=True,
+            check=True,
+        ).stdout
+        assert out.strip() == "[]"
+
+    def test_package_reexports_resolve_lazily(self):
+        import repro.service as service
+        from repro.service import ServiceApp, TenantConfig, serve
+
+        assert ServiceApp.__module__ == "repro.service.server"
+        assert TenantConfig.__module__ == "repro.service.registry"
+        assert callable(serve)
+        assert set(service.__all__) >= {"ServiceClient", "ModelSnapshot"}
+        with pytest.raises(AttributeError):
+            service.NoSuchThing  # noqa: B018
+
+
 class TestRouter:
     def test_resolves_fixed_routes(self):
         assert resolve("GET", "/healthz").handler == "healthz"
@@ -187,6 +220,22 @@ class TestTenants:
         assert stats["executions"] == len(SEQUENCES)
         assert stats["open_executions"] == 0
 
+    def test_auto_snapshot_is_the_plain_finish_in_order(self, tmp_path):
+        """``auto`` finishes the labelled state and projects its graph;
+        that must be the plain finish, node and edge order included."""
+        registry = TenantRegistry(tmp_path, self.config())
+        tenant, _ = registry.get_or_create(PROCESS)
+        tenant.ingest(event_lines(SEQUENCES))
+        tenant.flush()
+        plain = MiningState()
+        for execution in executions(SEQUENCES):
+            plain.update(execution)
+        expected = plain.finish()
+        graph = tenant.snapshot().graph
+        assert tenant.close().clean
+        assert list(graph.nodes()) == list(expected.nodes())
+        assert list(graph.edges()) == list(expected.edges())
+
     def test_cyclic_logs_resolve_to_cyclic(self, tmp_path):
         registry = TenantRegistry(tmp_path, self.config())
         tenant, _ = registry.get_or_create("loops")
@@ -218,14 +267,14 @@ class TestTenants:
         tenant, _ = registry.get_or_create(PROCESS)
         tenant.ingest(event_lines(SEQUENCES))
         tenant.flush()
-        envelope = tenant.fresh_snapshot().envelope
+        envelope = tenant.state_snapshot().envelope
         receipt = tenant.close()
         assert receipt.clean
         reopened = TenantRegistry(tmp_path, self.config())
         recovered = dict(reopened.startup())
         assert PROCESS in recovered
         successor = reopened.get(PROCESS)
-        assert successor.fresh_snapshot().envelope == envelope
+        assert successor.state_snapshot().envelope == envelope
         assert successor.close().clean
 
     def test_close_flushes_open_windows_first(self, tmp_path):
@@ -601,6 +650,100 @@ class TestApp:
 
         assert run_app(tmp_path, scenario) == 200
 
+    def test_reads_cover_every_fold_without_a_flush(self, tmp_path):
+        """A read after the queue drained shows every finalized fold."""
+        sequences = SEQUENCES * 3
+        lines = event_lines(sequences)
+
+        async def scenario(app):
+            worker = None
+            observed = []
+            for start in range(0, len(lines), 7):
+                body = ("\n".join(lines[start:start + 7]) + "\n").encode()
+                accepted = await app.handle(
+                    make_request(
+                        "POST", f"/v1/{PROCESS}/events", body=body
+                    )
+                )
+                assert accepted.status == 202
+                worker = app._workers[PROCESS]
+                await worker.drain()
+                covered = worker.tenant.session.covered_seq
+                if not covered:
+                    continue
+                model = await app.handle(
+                    make_request("GET", f"/v1/{PROCESS}/model")
+                )
+                state = await app.handle(
+                    make_request("GET", f"/v1/{PROCESS}/state")
+                )
+                assert dict(model.headers)["X-Snapshot-Seq"] == str(
+                    covered
+                )
+                assert dict(state.headers)["X-Snapshot-Seq"] == str(
+                    covered
+                )
+                observed.append(
+                    (covered, json.loads(model.body), state.body)
+                )
+            return observed
+
+        # A two-execution window finalizes executions as later ones
+        # arrive, so folds land between the requests.
+        observed = run_app(
+            tmp_path, scenario, tenant=TenantConfig(window=2)
+        )
+        assert len({covered for covered, _, _ in observed}) > 1
+        finalized = executions(sequences)
+        for covered, document, state_body in observed:
+            fresh = MiningState()
+            for execution in finalized[:covered]:
+                fresh.update(execution)
+            graph = fresh.finish()
+            assert document["edges"] == sorted(
+                [str(source), str(target)]
+                for source, target in graph.edges()
+            )
+            assert document["executions"] == covered
+            assert state_body == state_envelope(fresh).encode("utf-8")
+
+    def test_ingest_without_reads_takes_no_snapshot(self, tmp_path):
+        recorder = ObsRecorder()
+
+        async def scenario(app):
+            for start in range(0, len(SEQUENCES), 2):
+                body = (
+                    "\n".join(event_lines(SEQUENCES[start:start + 2]))
+                    + "\n"
+                ).encode()
+                await app.handle(
+                    make_request(
+                        "POST", f"/v1/{PROCESS}/events", body=body
+                    )
+                )
+            worker = app._workers[PROCESS]
+            await worker.drain()
+            assert worker.tenant.session.covered_seq > 0
+            taken = recorder.registry.get("repro_service_snapshots_total")
+            await app.handle(make_request("GET", f"/v1/{PROCESS}/model"))
+            await app.handle(make_request("GET", f"/v1/{PROCESS}/model"))
+            return taken, recorder.registry.get(
+                "repro_service_snapshots_total"
+            ).value, recorder.registry.get(
+                "repro_service_snapshot_seconds"
+            ).count
+
+        taken, after_reads, timed = run_app(
+            tmp_path,
+            scenario,
+            recorder=recorder,
+            tenant=TenantConfig(window=2),
+        )
+        assert taken is None
+        # Two reads with no fold between them: one refresh, one timing.
+        assert after_reads == 1
+        assert timed == 1
+
     def test_shutdown_then_restart_serves_same_bytes(self, tmp_path):
         async def first(app):
             await push_and_flush(app)
@@ -626,6 +769,14 @@ class TestApp:
         after, model_status = run_app(tmp_path, second)
         assert after == before
         assert model_status == 200
+
+
+class TestServeCli:
+    def test_snapshot_every_flag_is_gone(self, tmp_path):
+        """Snapshots are read-through; there is no refresh cadence."""
+        with pytest.raises(SystemExit) as exited:
+            main(["serve", str(tmp_path), "--snapshot-every", "8"])
+        assert exited.value.code == 2
 
 
 class TestDaemon:

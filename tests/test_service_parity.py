@@ -92,7 +92,7 @@ class TestInterleavedServiceParity:
             for process, executions in sorted(streams.items()):
                 tenant = registry.get(process)
                 tenant.flush()
-                snapshot = tenant.fresh_snapshot()
+                snapshot = tenant.state_snapshot()
                 log_path = root / f"{process}.tsv"
                 write_log_file(
                     EventLog(executions, process_name=process), log_path
