@@ -14,7 +14,7 @@ passes comfortably, a materializing regression cannot.
 
 The capped child runs ``python -m repro.cli mine --stream`` rather than
 the mining API directly, so the budget covers the whole user-facing
-path: streaming ingest, parallel fold, finish, and rendering.
+path: streaming ingest, fold, finish, and rendering.
 
 Usage::
 

@@ -97,7 +97,7 @@ def generate_log(
     return records
 
 
-def probe(path: str, mode: str, jobs: int = 1, limit_mb: int = 0) -> dict:
+def probe(path: str, mode: str, limit_mb: int = 0) -> dict:
     """Mine ``path`` in one mode; return the measurement record.
 
     ``stage_seconds`` splits the wall time into ``ingest`` (reading,
@@ -124,7 +124,7 @@ def probe(path: str, mode: str, jobs: int = 1, limit_mb: int = 0) -> dict:
         log = reader(path).log
         stages["ingest"] = round(time.perf_counter() - started, 6)
         mark = time.perf_counter()
-        graph = mine_general_dag(log, jobs=jobs)
+        graph = mine_general_dag(log)
         stages["mine"] = round(time.perf_counter() - mark, 6)
         executions = len(log)
     elif mode == "stream":
@@ -139,12 +139,10 @@ def probe(path: str, mode: str, jobs: int = 1, limit_mb: int = 0) -> dict:
             from repro.core.state import fold_executions
             from repro.logs.codec import iter_ingest_log_file
 
-            state = fold_executions(
-                iter_ingest_log_file(path), jobs=jobs
-            )
+            state = fold_executions(iter_ingest_log_file(path))
         stages["ingest"] = round(time.perf_counter() - started, 6)
         mark = time.perf_counter()
-        graph = state.finish(jobs=jobs)
+        graph = state.finish()
         stages["mine"] = round(time.perf_counter() - mark, 6)
         executions = state.execution_count
     else:
@@ -162,9 +160,7 @@ def probe(path: str, mode: str, jobs: int = 1, limit_mb: int = 0) -> dict:
     }
 
 
-def measure(
-    path: str, mode: str, jobs: int = 1, limit_mb: int = 0
-) -> dict:
+def measure(path: str, mode: str, limit_mb: int = 0) -> dict:
     """Run the probe in a fresh subprocess and parse its JSON line."""
     command = [
         sys.executable,
@@ -173,8 +169,6 @@ def measure(
         path,
         "--mode",
         mode,
-        "--jobs",
-        str(jobs),
     ]
     if limit_mb:
         command += ["--limit-mb", str(limit_mb)]
@@ -203,7 +197,6 @@ def main(argv=None) -> int:
     probe_cmd.add_argument(
         "--mode", choices=["materialized", "stream"], required=True
     )
-    probe_cmd.add_argument("--jobs", type=int, default=1)
     probe_cmd.add_argument(
         "--limit-mb",
         type=int,
@@ -224,9 +217,7 @@ def main(argv=None) -> int:
             f"to {args.output}"
         )
         return 0
-    result = probe(
-        args.log, args.mode, jobs=args.jobs, limit_mb=args.limit_mb
-    )
+    result = probe(args.log, args.mode, limit_mb=args.limit_mb)
     print(json.dumps(result))
     return 0
 

@@ -48,8 +48,7 @@ missing/unreadable, 2 when corruption was detected.
 Durability (``mine --stream``): ``--journal DIR`` write-ahead journals
 accepted executions and checkpoints the fold so a killed run can be
 continued with ``--resume`` to the same bytes an uninterrupted run
-produces; ``--fold-timeout``/``--fold-retries`` supervise the parallel
-fold (see :mod:`repro.resilience` and docs/RELIABILITY.md).
+produces (see :mod:`repro.resilience` and docs/RELIABILITY.md).
 """
 
 from __future__ import annotations
@@ -59,7 +58,6 @@ import sys
 from typing import Dict, List, Optional, Tuple
 
 from repro.analysis.diffing import diff_against_log
-from repro.core.kernels import KERNEL_NAMES
 from repro.core.miner import (
     ALGORITHM_AUTO,
     ALGORITHM_CYCLIC,
@@ -198,25 +196,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="abort if the log names more than N distinct activities",
     )
     mine.add_argument(
-        "--jobs", type=_positive_int, metavar="N",
-        help=(
-            "worker processes for pair extraction and step-5 marking "
-            "(default: the REPRO_JOBS environment variable, else 1; "
-            "the mined graph is identical for any value)"
-        ),
-    )
-    mine.add_argument(
-        "--kernel",
-        choices=list(KERNEL_NAMES),
-        default=None,
-        help=(
-            "mining kernel for the Algorithm 2/3 hot paths (default: "
-            "the REPRO_KERNEL environment variable, else bitset; "
-            "numpy requires numpy to be installed; the mined graph "
-            "is identical for every kernel)"
-        ),
-    )
-    mine.add_argument(
         "--profile",
         action="store_true",
         help=(
@@ -261,8 +240,8 @@ def build_parser() -> argparse.ArgumentParser:
             "durable session directory (implies --stream): every "
             "accepted execution is write-ahead journaled into "
             "DIR/wal/ before folding and the state is checkpointed "
-            "periodically, so a crashed run resumes with --resume; "
-            "the fold runs serially (see docs/RELIABILITY.md)"
+            "periodically, so a crashed run resumes with --resume "
+            "(see docs/RELIABILITY.md)"
         ),
     )
     mine.add_argument(
@@ -283,30 +262,6 @@ def build_parser() -> argparse.ArgumentParser:
             "journal tail from DIR, then continue mining the log, "
             "skipping the executions the recovered state already "
             "covers; the result is identical to an uninterrupted run"
-        ),
-    )
-    mine.add_argument(
-        "--fold-timeout",
-        type=float,
-        metavar="SECONDS",
-        default=None,
-        help=(
-            "with --stream and --jobs > 1: supervise the parallel "
-            "fold — a worker chunk not done after SECONDS is treated "
-            "as hung, its pool recycled and the chunk retried"
-        ),
-    )
-    mine.add_argument(
-        "--fold-retries",
-        type=int,
-        metavar="N",
-        default=None,
-        help=(
-            "with --stream and --jobs > 1: retry a failed/hung fold "
-            "chunk N times (seeded exponential backoff) before "
-            "quarantining its executions as poisoned-chunk records "
-            "and continuing degraded (default: 2 when supervision "
-            "is on)"
         ),
     )
     _add_metrics_arguments(mine)
@@ -343,19 +298,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["ascii", "dot", "edges"],
         default="ascii",
         help="output format for the mined graph",
-    )
-    merge_states.add_argument(
-        "--jobs", type=_positive_int, metavar="N",
-        help="worker processes for the finishing step-5 marking",
-    )
-    merge_states.add_argument(
-        "--kernel",
-        choices=list(KERNEL_NAMES),
-        default=None,
-        help=(
-            "mining kernel for the finishing steps (default: "
-            "REPRO_KERNEL, else bitset)"
-        ),
     )
 
     verify_state = commands.add_parser(
@@ -640,12 +582,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="maximum live tenants (default: 1024)",
     )
     serve.add_argument(
-        "--kernel",
-        choices=list(KERNEL_NAMES),
-        default=None,
-        help="mining kernel for snapshot finishes (default: bitset)",
-    )
-    serve.add_argument(
         "--limit-executions", type=_positive_int, metavar="N",
         help="per tenant: abort a batch beyond N executions",
     )
@@ -863,24 +799,17 @@ def _cmd_mine_stream(args: argparse.Namespace) -> int:
     executions are write-ahead journaled, the state is checkpointed
     every ``--checkpoint-every`` folds, and ``--resume`` recovers a
     crashed run and continues it to the same bytes an uninterrupted
-    run produces.  Without a journal, ``--fold-timeout`` /
-    ``--fold-retries`` supervise the parallel fold instead (hung or
-    crashed workers are retried; chunks that exhaust the budget are
-    quarantined as ``poisoned-chunk`` records and the mine continues
-    degraded).
+    run produces.
 
     Otherwise a ``.jsonl`` log folds through the fused block fold
     (:func:`repro.logs.jsonl.fold_log_jsonl_file`), which never builds
-    an execution for a clean trace; journaled, parallel
-    (``--jobs``/``REPRO_JOBS`` > 1) and supervised folds, and the text
-    codec, keep the execution iterator they need.
+    an execution for a clean trace; journaled folds and the text codec
+    keep the execution iterator they need.
     """
     from repro.core.cyclic import merge_instances
     from repro.core.general_dag import MiningTrace
-    from repro.core.parallel import RetryPolicy, resolve_jobs
     from repro.core.state import fold_executions, save_state
     from repro.logs.codec import iter_ingest_log_file
-    from repro.logs.ingest import REASON_POISONED_CHUNK
     from repro.logs.jsonl import (
         fold_log_jsonl_file,
         iter_ingest_log_jsonl_file,
@@ -950,28 +879,12 @@ def _cmd_mine_stream(args: argparse.Namespace) -> int:
     elif args.resume:
         raise MiningError("--resume requires --journal DIR")
 
-    retry = None
-    if args.fold_timeout is not None or args.fold_retries is not None:
-        retry = RetryPolicy(
-            timeout=args.fold_timeout,
-            max_retries=(
-                args.fold_retries
-                if args.fold_retries is not None
-                else RetryPolicy().max_retries
-            ),
-        )
-
     window = args.stream_window or DEFAULT_STREAM_WINDOW
     line_memo = None
     with Quarantine(args.quarantine) as quarantine, recorder.span(
         "stream_fold", policy=args.on_error
     ):
-        if (
-            args.log.endswith(".jsonl")
-            and session is None
-            and retry is None
-            and resolve_jobs(args.jobs) <= 1
-        ):
+        if args.log.endswith(".jsonl") and session is None:
             folded = fold_log_jsonl_file(
                 args.log,
                 policy=args.on_error,
@@ -1008,13 +921,6 @@ def _cmd_mine_stream(args: argparse.Namespace) -> int:
                         lasts.add(execution.last_activity)
                     yield execution
 
-            def on_poisoned(poisoned, reason: str) -> None:
-                count = quarantine.add_poisoned_executions(
-                    poisoned, reason
-                )
-                report.quarantined_executions += count
-                report.reasons[REASON_POISONED_CHUNK] += count
-
             if session is not None:
                 # Durable path: serial write-ahead fold.  Already-
                 # covered executions still flow through tracked() so
@@ -1026,14 +932,7 @@ def _cmd_mine_stream(args: argparse.Namespace) -> int:
                 state = session.finalize()
             else:
                 state = fold_executions(
-                    tracked(),
-                    labelled=labelled,
-                    jobs=args.jobs,
-                    recorder=recorder,
-                    retry=retry,
-                    on_poisoned=(
-                        on_poisoned if retry is not None else None
-                    ),
+                    tracked(), labelled=labelled, recorder=recorder
                 )
     publish_ingest_report(report, recorder)
     if args.on_error != POLICY_STRICT or not report.clean:
@@ -1068,12 +967,7 @@ def _cmd_mine_stream(args: argparse.Namespace) -> int:
             state = state.to_plain()
     trace = MiningTrace(recorder=recorder)
     with recorder.span("mine", algorithm=algorithm):
-        graph = state.finish(
-            threshold=args.threshold,
-            trace=trace,
-            jobs=args.jobs,
-            kernel=args.kernel,
-        )
+        graph = state.finish(threshold=args.threshold, trace=trace)
         if algorithm == ALGORITHM_CYCLIC:
             graph = merge_instances(graph)
     if args.state_out:
@@ -1111,7 +1005,6 @@ def _cmd_mine_stream(args: argparse.Namespace) -> int:
             "resolved_algorithm": algorithm,
             "threshold": args.threshold,
             "on_error": args.on_error,
-            "jobs": args.jobs or 0,
             "stream": True,
         },
     )
@@ -1149,11 +1042,7 @@ def _cmd_merge_states(args: argparse.Namespace) -> int:
         print(f"wrote merged state to {args.output}")
     if args.state_only:
         return 0
-    graph = merged.finish(
-        threshold=args.threshold,
-        jobs=args.jobs,
-        kernel=args.kernel,
-    )
+    graph = merged.finish(threshold=args.threshold)
     if mode == MODE_CYCLIC:
         graph = merge_instances(graph)
     print(f"# algorithm: {mode}")
@@ -1278,9 +1167,7 @@ def _cmd_mine(args: argparse.Namespace) -> int:
     miner = ProcessMiner(
         algorithm=args.algorithm,
         threshold=args.threshold,
-        jobs=args.jobs,
         recorder=recorder,
-        kernel=args.kernel,
     )
     result = miner.mine(log)
     graph = result.graph
@@ -1312,7 +1199,6 @@ def _cmd_mine(args: argparse.Namespace) -> int:
             "resolved_algorithm": result.algorithm,
             "threshold": args.threshold,
             "on_error": args.on_error,
-            "jobs": args.jobs or 0,
             "exact_minimize": bool(
                 getattr(args, "exact_minimize", False)
             ),
@@ -1351,10 +1237,6 @@ def _print_profile(trace, recorder, fold: Optional[str] = None) -> None:
             + (f" ({by_path})" if by_path else "")
             + f", {trace.reduction_cache_hits} exact cache hits, "
             f"{trace.reduction_cache_prefix_extends} prefix extends",
-            file=sys.stderr,
-        )
-        print(
-            f"  kernel: {trace.kernel}  jobs: {trace.jobs}",
             file=sys.stderr,
         )
     # Sub-spans (e.g. prepare's parse/intern/pairs split) live on the
@@ -1664,7 +1546,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             if args.checkpoint_every is not None
             else DEFAULT_CHECKPOINT_EVERY
         ),
-        kernel=args.kernel,
         limits=limits,
     )
     config = ServiceConfig(

@@ -25,26 +25,22 @@ from repro.core.general_dag import (
     prepare_executions,
     prepare_packed_log,
 )
-from repro.core.kernels import get_kernel
 from repro.graphs.digraph import DiGraph
 from repro.logs.event_log import EventLog
 
 Instance = Tuple[str, int]
 
 
-def prepare_labelled_log(
-    log: EventLog, jobs: Optional[int] = None
-) -> List[PreparedExecution]:
+def prepare_labelled_log(log: EventLog) -> List[PreparedExecution]:
     """Relabel executions (step 2 of Algorithm 3) into prepared views.
 
     Vertices become ``(activity, occurrence)`` pairs; ordered pairs between
     distinct instances of the *same* activity are kept — Algorithm 3 treats
     them as ordinary vertices (their edges either survive as the loop's
     backbone or are pruned like any other edge).  Identical trace
-    variants are prepared once; ``jobs`` fans the distinct variants out
-    over worker processes.
+    variants are prepared once.
     """
-    return prepare_executions(list(log), labelled=True, jobs=jobs)
+    return prepare_executions(list(log), labelled=True)
 
 
 def merge_instances(instance_graph: DiGraph) -> DiGraph:
@@ -67,8 +63,6 @@ def mine_cyclic(
     threshold: int = 0,
     trace: Optional[MiningTrace] = None,
     return_instance_graph: bool = False,
-    jobs: Optional[int] = None,
-    kernel: Optional[str] = None,
 ) -> Union[DiGraph, Tuple[DiGraph, DiGraph]]:
     """Mine a (possibly cyclic) conformal graph of ``log`` with Algorithm 3.
 
@@ -81,12 +75,6 @@ def mine_cyclic(
         Section 6 noise threshold applied to the relabelled pair counts.
     trace:
         Optional :class:`MiningTrace` diagnostics sink.
-    jobs:
-        Worker processes for pair extraction and step-5 marking
-        (``None`` defers to ``REPRO_JOBS``; 1 = serial).
-    kernel:
-        Mining kernel name (``None`` defers to ``REPRO_KERNEL``, else
-        the default ``bitset``); see :mod:`repro.core.kernels`.
     return_instance_graph:
         When true, return ``(merged_graph, instance_graph)`` — the
         intermediate graph over ``(activity, occurrence)`` vertices is what
@@ -114,7 +102,7 @@ def mine_cyclic(
     trace = trace if trace is not None else MiningTrace()
     with trace.stage("prepare"):
         table, variants = prepare_packed_log(
-            list(log), labelled=True, jobs=jobs, recorder=trace.recorder
+            list(log), labelled=True, recorder=trace.recorder
         )
     instance_graph = _mine_packed(
         table.labels,
@@ -122,8 +110,6 @@ def mine_cyclic(
         _keyed(variants),
         threshold=threshold,
         trace=trace,
-        jobs=jobs,
-        kernel=get_kernel(kernel),
     )
     with trace.stage("merge_instances"):
         merged = merge_instances(instance_graph)

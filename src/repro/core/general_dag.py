@@ -33,18 +33,16 @@ is built around four ideas (the naive original is retained verbatim in
   collapse into one weighted variant; step-2 counters use
   multiplicities and step 5 runs once per variant, with a further memo
   on the *induced edge set* shared across variants.
-* **Pluggable kernels** (:mod:`repro.core.kernels`) — under the default
-  ``bitset`` kernel, sequential no-repeat traces (the dominant shape)
-  take a fused bit-row pipeline: step 2 builds per-source successor
-  bitmasks directly from the id sequences (no pair-set materialization),
-  steps 3–4 are bitmask algebra, and step 5 reduces *all* such variants
-  in one slotted bit-parallel Algorithm 4 pass instead of one graph walk
-  per variant.  ``--kernel pure`` keeps the scalar path; ``--kernel
-  numpy`` vectorizes the batch when numpy is installed.
-* **Opt-in parallelism** — ``jobs=N`` (or ``REPRO_JOBS``) fans pair
-  extraction and step-5 reductions (scalar chunks and packed mask
-  chunks alike) out over worker processes with a deterministic union
-  merge (:mod:`repro.core.parallel`).
+* **Bit-parallel step 5** (:mod:`repro.core.kernels`) — sequential
+  no-repeat traces (the dominant shape) take a fused bit-row pipeline:
+  step 2 builds per-source successor bitmasks directly from the id
+  sequences (no pair-set materialization), steps 3–4 are bitmask
+  algebra, and step 5 reduces *all* such variants in one slotted
+  bit-parallel Algorithm 4 pass instead of one graph walk per variant.
+  Every other variant takes the scalar reducer.
+
+Everything runs serially in one process: worker pools and alternative
+kernels were measured slower on every input (``docs/PERFORMANCE.md``).
 
 :func:`mine_prepared` exposes the step 2–6 pipeline over pre-extracted
 pair sets so that Algorithm 3 can reuse it on relabelled executions;
@@ -78,18 +76,10 @@ from typing import (
 
 from repro.core.interning import InternTable, PackedVariant, intern_variants
 from repro.core.kernels import (
-    Kernel,
     KernelState,
     ReduceContext,
     ReduceStats,
-    get_kernel,
-)
-from repro.core.parallel import (
-    pack_masks,
-    process_map_timed,
-    resolve_jobs,
-    split_chunks,
-    unpack_masks,
+    reduce_masks,
 )
 from repro.errors import EmptyLogError
 from repro.graphs.digraph import DiGraph
@@ -111,9 +101,6 @@ VariantKey = Tuple[FrozenSet[int], FrozenSet[int], FrozenSet[int]]
 PackedItem = Tuple[VariantKey, int]
 #: ``(pair_counts, overlap_counts, vertex_ids)`` a folding caller keeps.
 StepTwoCounters = Tuple[Mapping[int, int], Mapping[int, int], Iterable[int]]
-
-#: Minimum batch size before step-5 mask reductions fan out to workers.
-_MASK_FANOUT_MIN = 64
 
 #: Sentinel distinguishing "not cached" from a cached ``None`` verdict.
 _UNKNOWN = object()
@@ -149,11 +136,10 @@ class MiningTrace:
     Edge counts after each step let the ablation benches show what each
     stage contributes; ``pair_counts`` holds the Section 6 noise counters.
     The throughput fields (``timings``, ``execution_count``,
-    ``variant_count``, the ``reduction_cache_*`` counters, ``kernel``,
-    ``jobs``) feed ``repro-miner mine --profile`` and the performance
-    harness.
+    ``variant_count``, the ``reduction_cache_*`` counters) feed
+    ``repro-miner mine --profile`` and the performance harness.
 
-    ``pair_counts`` and ``overlap_counts`` are *lazy*: the fused kernel
+    ``pair_counts`` and ``overlap_counts`` are *lazy*: the fused row
     pipeline never builds label-level counters on its own behalf, so
     they materialize from the packed run data on first access (and stay
     assignable, which the reference pipeline uses).  ``publish`` reports
@@ -203,10 +189,6 @@ class MiningTrace:
     #: Computed reductions per implementation path
     #: (``slotted``/``walker``/``scalar``).
     reduction_paths: Dict[str, int] = field(default_factory=dict)
-    #: Kernel that executed the hot paths (``pure``/``bitset``/``numpy``).
-    kernel: str = "pure"
-    #: Worker processes used (1 = serial).
-    jobs: int = 1
 
     def __post_init__(self) -> None:
         self._pair_counts: Optional[Counter] = Counter()
@@ -334,9 +316,6 @@ class MiningTrace:
             self.edges_dropped_by_overlap,
             labels={"cause": "overlap"},
         )
-        recorder.count(
-            "repro_kernel_runs_total", 1, labels={"kernel": self.kernel}
-        )
         for path, computed in sorted(self.reduction_paths.items()):
             recorder.count(
                 "repro_kernel_reductions_total",
@@ -364,134 +343,101 @@ class MiningTrace:
                 edge_count,
                 labels={"stage": stage_name},
             )
-        recorder.gauge("repro_mine_jobs", self.jobs)
 
 
 # ----------------------------------------------------------------------
-# Preparation (step 2 extraction) with variant dedup and optional jobs
+# Preparation (step 2 extraction) with variant dedup
 # ----------------------------------------------------------------------
-def _prepare_chunk(
-    args: Tuple[bool, List[Execution]],
-) -> List[PreparedExecution]:
-    """Worker: extract prepared views for a chunk of executions."""
-    labelled, executions = args
-    if labelled:
-        return [
-            PreparedExecution(
-                vertices=frozenset(execution.labelled_sequence()),
-                pairs=execution.labelled_ordered_pair_set(),
-                overlaps=execution.labelled_overlapping_pair_set(),
-            )
-            for execution in executions
-        ]
-    return [
-        PreparedExecution(
-            vertices=execution.activities,
-            pairs=execution.ordered_pair_set(),
-            overlaps=execution.overlapping_pair_set(),
-        )
-        for execution in executions
-    ]
-
-
 def prepare_executions(
     executions: Sequence[Execution],
     labelled: bool = False,
-    jobs: Optional[int] = None,
-    recorder: Recorder = NULL_RECORDER,
 ) -> List[PreparedExecution]:
     """Extract :class:`PreparedExecution` views, once per trace variant.
 
     Executions with equal :meth:`~repro.logs.execution.Execution.
     variant_key` share one prepared object, so the quadratic pair
-    extraction runs once per *distinct* variant.  With ``jobs > 1`` the
-    distinct variants are fanned out over worker processes; the returned
-    list is aligned with the input order either way.
+    extraction runs once per *distinct* variant; the returned list is
+    aligned with the input order.
     """
-    jobs = resolve_jobs(jobs)
-    keys = [execution.variant_key() for execution in executions]
-    index_of_key: Dict[Tuple, int] = {}
-    representatives: List[Execution] = []
-    for key, execution in zip(keys, executions, strict=True):
-        if key not in index_of_key:
-            index_of_key[key] = len(representatives)
-            representatives.append(execution)
-    chunks = [
-        (labelled, chunk)
-        for chunk in split_chunks(representatives, jobs * 4)
-    ]
-    prepared: List[PreparedExecution] = []
-    for result in process_map_timed(
-        _prepare_chunk, chunks, jobs, recorder=recorder, stage="prepare"
-    ):
-        prepared.extend(result)
-    return [prepared[index_of_key[key]] for key in keys]
+    prepared: Dict[Tuple, PreparedExecution] = {}
+    out: List[PreparedExecution] = []
+    for execution in executions:
+        key = execution.variant_key()
+        view = prepared.get(key)
+        if view is None:
+            if labelled:
+                view = PreparedExecution(
+                    vertices=frozenset(execution.labelled_sequence()),
+                    pairs=execution.labelled_ordered_pair_set(),
+                    overlaps=execution.labelled_overlapping_pair_set(),
+                )
+            else:
+                view = PreparedExecution(
+                    vertices=execution.activities,
+                    pairs=execution.ordered_pair_set(),
+                    overlaps=execution.overlapping_pair_set(),
+                )
+            prepared[key] = view
+        out.append(view)
+    return out
 
 
-def prepare_log(
-    log: EventLog, jobs: Optional[int] = None
-) -> List[PreparedExecution]:
+def prepare_log(log: EventLog) -> List[PreparedExecution]:
     """Extract :class:`PreparedExecution` views from a log (plain labels)."""
-    return prepare_executions(list(log), labelled=False, jobs=jobs)
+    return prepare_executions(list(log), labelled=False)
 
 
 # ----------------------------------------------------------------------
 # Fused packed preparation (dedup + intern + pair extraction in one pass)
 # ----------------------------------------------------------------------
-def _pack_chunk(
-    args: Tuple[Dict[Vertex, int], int, bool, List[Execution]],
-) -> List[Tuple[FrozenSet[int], FrozenSet[int], FrozenSet[int]]]:
-    """Worker: extract packed ``(vertices, pairs, overlaps)`` per execution.
+def _pack_execution(
+    execution: Execution,
+    index: Dict[Vertex, int],
+    size: int,
+    labelled: bool,
+) -> VariantKey:
+    """Extract one execution's packed ``(vertices, pairs, overlaps)``.
 
     Sequential traces (the common case) never touch label tuples at all:
     ordered pairs are produced directly as packed codes from the interned
     id sequence via the suffix-set trick.  Interval-overlapping traces
     fall back to the cached label-level sets and pack them.
     """
-    index, size, labelled, executions = args
-    out: List[Tuple[FrozenSet[int], FrozenSet[int], FrozenSet[int]]] = []
-    for execution in executions:
-        sequence: Sequence[Vertex] = (
-            execution.labelled_sequence() if labelled
-            else execution.sequence
+    sequence: Sequence[Vertex] = (
+        execution.labelled_sequence() if labelled else execution.sequence
+    )
+    ids = [index[label] for label in sequence]
+    vertices = frozenset(ids)
+    if execution.is_sequential():
+        pairs: Set[int] = set()
+        later: Set[int] = set()
+        for vertex_id in reversed(ids):
+            if later:
+                base = vertex_id * size
+                pairs.update(base + other for other in later)
+            later.add(vertex_id)
+        # The suffix pass adds (a, a) when an activity repeats;
+        # same-label pairs belong only to the relabelled view.
+        pairs.difference_update(
+            vertex_id * size + vertex_id for vertex_id in later
         )
-        ids = [index[label] for label in sequence]
-        vertices = frozenset(ids)
-        if execution.is_sequential():
-            pairs: Set[int] = set()
-            later: Set[int] = set()
-            for vertex_id in reversed(ids):
-                if later:
-                    base = vertex_id * size
-                    pairs.update(base + other for other in later)
-                later.add(vertex_id)
-            # The suffix pass adds (a, a) when an activity repeats;
-            # same-label pairs belong only to the relabelled view.
-            pairs.difference_update(
-                vertex_id * size + vertex_id for vertex_id in later
-            )
-            out.append((vertices, frozenset(pairs), frozenset()))
-            continue
-        if labelled:
-            ordered = execution.labelled_ordered_pair_set()
-            overlapping = execution.labelled_overlapping_pair_set()
-        else:
-            ordered = execution.ordered_pair_set()
-            overlapping = execution.overlapping_pair_set()
-        out.append((
-            vertices,
-            frozenset(index[u] * size + index[v] for u, v in ordered),
-            frozenset(
-                index[u] * size + index[v] for u, v in overlapping
-            ),
-        ))
-    return out
+        return vertices, frozenset(pairs), frozenset()
+    if labelled:
+        ordered = execution.labelled_ordered_pair_set()
+        overlapping = execution.labelled_overlapping_pair_set()
+    else:
+        ordered = execution.ordered_pair_set()
+        overlapping = execution.overlapping_pair_set()
+    return (
+        vertices,
+        frozenset(index[u] * size + index[v] for u, v in ordered),
+        frozenset(index[u] * size + index[v] for u, v in overlapping),
+    )
 
 
 def prepare_packed_log(
     executions: Sequence[Execution],
     labelled: bool = False,
-    jobs: Optional[int] = None,
     recorder: Recorder = NULL_RECORDER,
 ) -> Tuple[InternTable, List[PackedVariant]]:
     """Deduplicate, intern and pack executions in one fused pass.
@@ -503,7 +449,6 @@ def prepare_packed_log(
     returned variants are in first-seen order with multiplicities
     summing to ``len(executions)``.
     """
-    jobs = resolve_jobs(jobs)
     # Sub-spans let --profile show where prepare time goes: variant
     # dedup ("parse"), label interning ("intern"), pair extraction
     # ("pairs").  They nest inside the caller's mine/prepare span.
@@ -531,26 +476,14 @@ def prepare_packed_log(
         size = max(len(table), 1)
 
     with recorder.span("mine/prepare/pairs"):
-        chunked = [
-            (table.index, size, labelled, chunk)
-            for chunk in split_chunks(representatives, jobs * 4)
-        ]
-        packed_sets: List[
-            Tuple[FrozenSet[int], FrozenSet[int], FrozenSet[int]]
-        ] = []
-        for result in process_map_timed(
-            _pack_chunk, chunked, jobs, recorder=recorder, stage="prepare"
-        ):
-            packed_sets.extend(result)
+        index = table.index
         variants = [
             PackedVariant(
-                vertices=vertices,
-                pairs=pairs,
-                overlaps=overlaps,
+                *_pack_execution(execution, index, size, labelled),
                 multiplicity=multiplicities[key],
             )
-            for (vertices, pairs, overlaps), key in zip(
-                packed_sets, representative_keys, strict=True
+            for execution, key in zip(
+                representatives, representative_keys, strict=True
             )
         ]
     return table, variants
@@ -559,36 +492,6 @@ def prepare_packed_log(
 # ----------------------------------------------------------------------
 # Steps 2–6 over packed variants
 # ----------------------------------------------------------------------
-def _reduce_chunk(
-    args: Tuple[int, Optional[Dict[int, int]], List[FrozenSet[int]]],
-) -> List[FrozenSet[int]]:
-    """Worker: transitively reduce a chunk of packed induced edge sets."""
-    n, rank, keys = args
-    return [
-        transitive_reduction_packed(codes, n, rank) for codes in keys
-    ]
-
-
-def _reduce_masks_chunk(
-    args: Tuple[str, int, Dict[int, int], Tuple[int, ...], bytes],
-) -> List[int]:
-    """Worker: batch-reduce a chunk of packed variant vertex masks.
-
-    The parent ships the shared step-4 edge codes and topological ranks
-    once per chunk plus the masks as packed little-endian bytes
-    (:func:`~repro.core.parallel.pack_masks`); the worker rebuilds the
-    :class:`~repro.core.kernels.ReduceContext` locally.  Any worker
-    could equally recompute the ranks — the transitive reduction of a
-    DAG is unique, so every topological order yields the same kept
-    edges — but shipping them keeps chunks byte-deterministic.
-    """
-    kernel_name, n, rank, edge_codes, blob = args
-    ctx = ReduceContext.from_edges(set(edge_codes), n, rank)
-    masks = unpack_masks(blob, ctx.slot_bytes)
-    kernel = get_kernel(kernel_name)
-    return sorted(kernel.bulk_reduce_union(ctx, masks))
-
-
 def _reverse_code(code: int, n: int) -> int:
     u, v = divmod(code, n)
     return v * n + u
@@ -688,53 +591,12 @@ def _total_order_mask(
     return result
 
 
-def _reduce_masks_parallel(
-    kernel: Kernel,
-    ctx: ReduceContext,
-    edges: Set[int],
-    rank: Dict[int, int],
-    masks: Sequence[int],
-    stats: ReduceStats,
-    jobs: int,
-    recorder: Recorder,
-) -> Set[int]:
-    """Fan a large mask batch out over worker processes.
-
-    Masks are deduplicated first (duplicates count as exact cache hits,
-    like the serial path) and shipped as packed bytes; each worker runs
-    the kernel's batch reduction over its chunk and returns sorted kept
-    codes, which union deterministically.
-    """
-    distinct = list(dict.fromkeys(masks))
-    stats.exact_hits += len(masks) - len(distinct)
-    stats.misses += len(distinct)
-    stats.bump("slotted", len(distinct))
-    edge_codes = tuple(sorted(edges))
-    chunked = [
-        (kernel.name, ctx.n, rank, edge_codes,
-         pack_masks(chunk, ctx.slot_bytes))
-        for chunk in split_chunks(distinct, jobs)
-    ]
-    marked: Set[int] = set()
-    for kept_codes in process_map_timed(
-        _reduce_masks_chunk,
-        chunked,
-        jobs,
-        recorder=recorder,
-        stage="step5_reduce",
-    ):
-        marked.update(kept_codes)
-    return marked
-
-
 def mine_variants(
     variants: Sequence[WeightedVariant],
     threshold: int = 0,
     trace: Optional[MiningTrace] = None,
     skip_scc_removal: bool = False,
     skip_execution_marking: bool = False,
-    jobs: Optional[int] = None,
-    kernel: Optional[str] = None,
     kernel_state: Optional[KernelState] = None,
 ) -> DiGraph:
     """Run steps 2–6 of Algorithm 2 over weighted trace variants.
@@ -759,8 +621,6 @@ def mine_variants(
         trace=trace,
         skip_scc_removal=skip_scc_removal,
         skip_execution_marking=skip_execution_marking,
-        jobs=jobs,
-        kernel=get_kernel(kernel),
         kernel_state=kernel_state,
     )
 
@@ -778,11 +638,9 @@ def _mine_packed(
     trace: Optional[MiningTrace] = None,
     skip_scc_removal: bool = False,
     skip_execution_marking: bool = False,
-    jobs: Optional[int] = None,
     reduction_memo: Optional[
         Dict[FrozenSet[int], FrozenSet[int]]
     ] = None,
-    kernel: Optional[Kernel] = None,
     kernel_state: Optional[KernelState] = None,
     counters: Optional[StepTwoCounters] = None,
 ) -> DiGraph:
@@ -808,8 +666,7 @@ def _mine_packed(
     transitive reduction kept, which depends on that set alone, so a
     caller whose pair codes are stable can pass the same dict again.
 
-    Under a mask-capable ``kernel`` (the default ``bitset``) and
-    ``threshold <= 1``, total-order variants skip the per-variant scalar
+    With ``threshold <= 1``, total-order variants skip the per-variant scalar
     reduction entirely: they are verified once
     (:func:`_total_order_mask`), collapsed to vertex bitmasks, and
     reduced in one slotted bit-parallel batch.  Everything else
@@ -828,13 +685,9 @@ def _mine_packed(
     if not variants:
         raise EmptyLogError("cannot mine an empty set of executions")
     n = max(n, 1)
-    jobs = resolve_jobs(jobs)
     trace = trace if trace is not None else MiningTrace()
-    kernel = kernel if kernel is not None else get_kernel()
-    trace.kernel = kernel.name
     trace.execution_count = sum(map(itemgetter(1), variants))
     trace.variant_count = len(variants)
-    trace.jobs = jobs
 
     # Step 2 — union of ordered pairs, with multiplicity-weighted
     # occurrence counters.
@@ -983,7 +836,7 @@ def _mine_packed(
         trace.edges_after_step4 = len(step4_edges)
 
     # Steps 5–6 — keep only edges some execution's transitive reduction
-    # needs.  Total-order variants batch through the kernel; the rest
+    # needs.  Total-order variants reduce in one slotted batch; the rest
     # reduce once per distinct *induced edge set* via the memo.  A warm
     # kernel state already covers the variants before its cursor, so
     # only the ones folded since are looked at.
@@ -998,12 +851,7 @@ def _mine_packed(
             marked: Set[int] = set()
             mask_batch: List[int] = []
             scalar_keys: List[VariantKey] = []
-            if (
-                kernel.supports_masks
-                and threshold <= 1
-                and rank is not None
-                and step4_edges
-            ):
+            if threshold <= 1 and rank is not None and step4_edges:
                 mask_cache = (
                     kernel_state.mask_cache_for(n)
                     if kernel_state is not None
@@ -1029,19 +877,7 @@ def _mine_packed(
                     )
                     if batch_state is not None:
                         batch_state.context = ctx
-                if (
-                    jobs > 1
-                    and batch_state is None
-                    and len(mask_batch) >= _MASK_FANOUT_MIN
-                ):
-                    marked |= _reduce_masks_parallel(
-                        kernel, ctx, step4_edges, rank or {}, mask_batch,
-                        stats, jobs, trace.recorder,
-                    )
-                else:
-                    marked |= kernel.reduce_masks(
-                        ctx, mask_batch, batch_state, stats
-                    )
+                marked |= reduce_masks(ctx, mask_batch, batch_state, stats)
             seen_keys: Dict[FrozenSet[int], None] = {}
             for _, pairs, _ in scalar_keys:
                 induced = pairs & step4_edges
@@ -1052,7 +888,7 @@ def _mine_packed(
                 missing = distinct_keys
             else:
                 # A reduction depends only on its induced edge set, so
-                # memoized keys skip the fan-out entirely; their kept
+                # memoized keys skip the reduction entirely; their kept
                 # edges fold in below like freshly computed ones.
                 missing = []
                 for key in distinct_keys:
@@ -1061,29 +897,12 @@ def _mine_packed(
                         missing.append(key)
                     else:
                         marked |= kept
-            if missing:
-                chunked = [
-                    (n, rank, chunk)
-                    for chunk in split_chunks(missing, jobs)
-                ]
-                for (_, _, keys), reduced_chunk in zip(
-                    chunked,
-                    process_map_timed(
-                        _reduce_chunk,
-                        chunked,
-                        jobs,
-                        recorder=trace.recorder,
-                        stage="step5_reduce",
-                    ),
-                    strict=True,
-                ):
-                    for key, kept in zip(
-                        keys, reduced_chunk, strict=True
-                    ):
-                        if reduction_memo is not None:
-                            reduction_memo[key] = kept
-                        marked |= kept
-                stats.bump("scalar", len(missing))
+            for induced in missing:
+                kept = transitive_reduction_packed(induced, n, rank)
+                if reduction_memo is not None:
+                    reduction_memo[induced] = kept
+                marked |= kept
+            stats.bump("scalar", len(missing))
             if batch_state is not None:
                 batch_state.marked_union |= marked
                 batch_state.cursor = len(variants)
@@ -1191,8 +1010,6 @@ def mine_prepared(
     trace: Optional[MiningTrace] = None,
     skip_scc_removal: bool = False,
     skip_execution_marking: bool = False,
-    jobs: Optional[int] = None,
-    kernel: Optional[str] = None,
     kernel_state: Optional[KernelState] = None,
 ) -> DiGraph:
     """Run steps 2–6 of Algorithm 2 over prepared executions.
@@ -1210,12 +1027,6 @@ def mine_prepared(
     skip_scc_removal, skip_execution_marking:
         Ablation switches disabling step 4 or steps 5–6; used only by the
         ablation benches, never by the public miners.
-    jobs:
-        Worker processes for step 5 (``None`` defers to ``REPRO_JOBS``,
-        defaulting to serial).
-    kernel:
-        Mining kernel name (``None`` defers to ``REPRO_KERNEL``, else
-        the default ``bitset``); see :mod:`repro.core.kernels`.
     kernel_state:
         Optional persistent step-5 cache for incremental callers.
 
@@ -1236,19 +1047,16 @@ def mine_prepared(
         trace=trace,
         skip_scc_removal=skip_scc_removal,
         skip_execution_marking=skip_execution_marking,
-        jobs=jobs,
-        kernel=kernel,
         kernel_state=kernel_state,
     )
 
 
 # ----------------------------------------------------------------------
-# Fused bit-row pipeline (sequential variants under a mask kernel)
+# Fused bit-row pipeline (sequential variants, threshold <= 1)
 # ----------------------------------------------------------------------
 def _mine_rows(
     executions: Sequence[Execution],
     trace: MiningTrace,
-    kernel: Kernel,
     kernel_state: Optional[KernelState],
 ) -> DiGraph:
     """Steps 2–6 over bit-rows — the serial fast path of Algorithm 2.
@@ -1260,7 +1068,7 @@ def _mine_rows(
     suffix-mask pass per variant, whose final mask doubles as the
     variant's vertex mask for the batched step 5.  Steps 3–4 are then
     bitmask algebra over ``rows`` and step 5 reduces all those variants
-    in one slotted kernel batch.  Traces the bit representation cannot
+    in one slotted batch.  Traces the bit representation cannot
     express (repeated activities, interval overlaps) are packed the
     classic way and reduced scalar — mixed logs take both paths, with
     identical results to the reference pipeline either way.
@@ -1304,7 +1112,7 @@ def _mine_rows(
                         mask_variants.append((ids, count))
                         continue
                     # Sequential with repeats: suffix-set extraction
-                    # minus the same-label pairs, like _pack_chunk.
+                    # minus the same-label pairs, like _pack_execution.
                     pair_codes: Set[int] = set()
                     later: Set[int] = set()
                     for vertex_id in reversed(ids):
@@ -1344,7 +1152,6 @@ def _mine_rows(
                     )
     trace.execution_count = len(executions)
     trace.variant_count = len(representatives)
-    trace.jobs = 1
 
     # Step 2 — successor bitmask per source vertex, one suffix pass per
     # variant; the pass's final mask is the variant's vertex mask.
@@ -1484,9 +1291,7 @@ def _mine_rows(
                         rank,
                         with_pred=batch_state is not None,
                     )
-                    marked |= kernel.reduce_masks(
-                        ctx, smasks, batch_state, stats
-                    )
+                    marked |= reduce_masks(ctx, smasks, batch_state, stats)
             if fallback:
                 edge_codes: Set[int] = set()
                 for u, targets in adjacency.items():
@@ -1578,8 +1383,6 @@ def mine_general_dag(
     log: EventLog,
     threshold: int = 0,
     trace: Optional[MiningTrace] = None,
-    jobs: Optional[int] = None,
-    kernel: Optional[str] = None,
     kernel_state: Optional[KernelState] = None,
 ) -> DiGraph:
     """Mine a conformal graph of ``log`` with Algorithm 2.
@@ -1592,14 +1395,6 @@ def mine_general_dag(
         Section 6 noise threshold ``T`` (0 disables noise handling).
     trace:
         Optional :class:`MiningTrace` capturing per-stage diagnostics.
-    jobs:
-        Worker processes for pair extraction and step-5 marking
-        (``None`` defers to ``REPRO_JOBS``; 1 = serial).
-    kernel:
-        Mining kernel name — ``pure``, ``bitset`` or ``numpy``
-        (``None`` defers to ``REPRO_KERNEL``, else ``bitset``).  Every
-        kernel produces identical graphs; see
-        :mod:`repro.core.kernels` and ``docs/PERFORMANCE.md``.
     kernel_state:
         Optional persistent step-5 cache for repeated mining of a
         growing log (see :class:`~repro.core.kernels.KernelState`).
@@ -1626,23 +1421,12 @@ def mine_general_dag(
     if threshold < 0:
         raise ValueError("threshold must be >= 0")
     trace = trace if trace is not None else MiningTrace()
-    resolved_kernel = get_kernel(kernel)
-    trace.kernel = resolved_kernel.name
     executions = list(log)
-    if (
-        resolved_kernel.supports_masks
-        and threshold <= 1
-        and resolve_jobs(jobs) == 1
-    ):
-        return _mine_rows(
-            executions, trace, resolved_kernel, kernel_state
-        )
+    if threshold <= 1:
+        return _mine_rows(executions, trace, kernel_state)
     with trace.stage("prepare"):
         table, variants = prepare_packed_log(
-            executions,
-            labelled=False,
-            jobs=jobs,
-            recorder=trace.recorder,
+            executions, labelled=False, recorder=trace.recorder
         )
     return _mine_packed(
         table.labels,
@@ -1650,8 +1434,6 @@ def mine_general_dag(
         _keyed(variants),
         threshold=threshold,
         trace=trace,
-        jobs=jobs,
-        kernel=resolved_kernel,
         kernel_state=kernel_state,
     )
 

@@ -15,7 +15,7 @@ memo keys) runs over small ints — the cheapest hashable values CPython
 has — and labels are only restored when the final graph is materialized.
 
 The id assignment is deterministic (labels sorted by ``repr``) so that
-checkpoints and parallel workers sharing a table agree byte-for-byte.
+checkpoints and merged shard states sharing a table agree byte-for-byte.
 """
 
 from __future__ import annotations

@@ -1,9 +1,9 @@
-"""Pluggable kernels for the Algorithm 1-4 hot paths.
+"""Bit-parallel step-5 reduction for the Algorithm 2-4 hot paths.
 
 ``BENCH_mining.json`` shows ``prepare`` and ``step5_reduce`` dominating
 every large mining cell, and the step-5 reduction cache collapsing to
-zero hits once variant diversity rises.  This module packages the three
-mechanisms that fix that, behind a small selectable interface:
+zero hits once variant diversity rises.  This module holds the two
+mechanisms that fix that, joined by :func:`reduce_masks`:
 
 * **Slotted batch reduction** — Algorithm 4 runs over *all* trace
   variants simultaneously.  Every variant occupies one fixed-width slot
@@ -19,14 +19,6 @@ mechanisms that fix that, behind a small selectable interface:
   so a variant extending a known one pays only for its new suffix.
   Exact hits, prefix extends and cold misses are accounted separately
   (``repro_kernel_prefix_cache_events_total``).
-* **Optional numpy backend** — ``--kernel numpy`` / ``REPRO_KERNEL=numpy``
-  vectorizes the batched reduction over position-space boolean tensors.
-  numpy is never imported unless that kernel is requested, and never a
-  hard dependency: requesting it without numpy installed raises
-  :class:`~repro.errors.KernelUnavailableError`.
-
-Kernel selection precedence: explicit argument (CLI ``--kernel``) over
-the ``REPRO_KERNEL`` environment variable over the default (``bitset``).
 
 The correctness backbone of the batch path is a structural fact about
 Algorithm 2: with noise threshold <= 1, a *total-order* variant (a
@@ -45,7 +37,6 @@ the differential oracle for all of this.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import (
     Any,
@@ -58,7 +49,6 @@ from typing import (
     Tuple,
 )
 
-from repro.errors import KernelUnavailableError
 from repro.graphs.transitive import (
     ClosureBitset,
     transitive_closure_bitset,
@@ -66,29 +56,15 @@ from repro.graphs.transitive import (
 )
 
 __all__ = [
-    "KERNEL_ENV",
-    "DEFAULT_KERNEL",
-    "KERNEL_NAMES",
-    "Kernel",
-    "PureKernel",
-    "BitsetKernel",
-    "NumpyKernel",
     "KernelState",
     "ReduceContext",
     "ReduceStats",
-    "resolve_kernel_name",
-    "get_kernel",
-    "numpy_available",
+    "reduce_masks",
+    "slotted_reduce_union",
+    "walk_reduce",
     "ClosureBitset",
     "transitive_closure_bitset",
 ]
-
-#: Environment variable consulted when no explicit kernel is requested.
-KERNEL_ENV = "REPRO_KERNEL"
-#: Kernel used when neither an argument nor the environment chooses one.
-DEFAULT_KERNEL = "bitset"
-#: Every selectable kernel name.
-KERNEL_NAMES = ("pure", "bitset", "numpy")
 
 #: New-mask batches at or below this size use the prefix-reuse walker
 #: (when a persistent :class:`KernelState` is available) instead of the
@@ -99,32 +75,6 @@ WALKER_BATCH_LIMIT = 24
 #: Hard cap on stored prefix states; beyond it the trie stops growing
 #: (lookups still work), bounding memory on adversarial variant streams.
 PREFIX_TRIE_LIMIT = 65536
-
-
-def resolve_kernel_name(explicit: Optional[str] = None) -> str:
-    """Resolve the kernel name: explicit > ``REPRO_KERNEL`` > default."""
-    name = explicit
-    if name is None:
-        env = os.environ.get(KERNEL_ENV)
-        if env is not None and env.strip():
-            name = env.strip().lower()
-    if name is None:
-        return DEFAULT_KERNEL
-    if name not in KERNEL_NAMES:
-        raise KernelUnavailableError(
-            f"unknown kernel {name!r}; valid kernels: "
-            + ", ".join(KERNEL_NAMES)
-        )
-    return name
-
-
-def numpy_available() -> bool:
-    """Whether the optional numpy backend can be imported."""
-    try:
-        import numpy  # noqa: F401
-    except ImportError:
-        return False
-    return True
 
 
 # ----------------------------------------------------------------------
@@ -373,7 +323,7 @@ class ReduceStats:
 
 
 # ----------------------------------------------------------------------
-# Slotted bit-parallel batch reduction (the bitset kernel's bulk path)
+# Slotted bit-parallel batch reduction (the cold bulk path)
 # ----------------------------------------------------------------------
 def slotted_reduce_union(
     ctx: ReduceContext, smasks: Sequence[int]
@@ -520,196 +470,52 @@ def walk_reduce(
 
 
 # ----------------------------------------------------------------------
-# Kernels
+# Batch entry point
 # ----------------------------------------------------------------------
-class Kernel:
-    """A selectable implementation of the mining hot paths.
-
-    ``supports_masks`` advertises the batched total-order reduction;
-    the ``pure`` kernel leaves it off, keeping the legacy per-variant
-    scalar path byte-for-byte identical.
-    """
-
-    name: str = "pure"
-    supports_masks: bool = False
-
-    def bulk_reduce_union(
-        self, ctx: ReduceContext, smasks: Sequence[int]
-    ) -> Set[int]:
-        """Union of kept edges over a batch of variant vertex masks."""
-        raise NotImplementedError(
-            f"kernel {self.name!r} has no batched reduction"
-        )
-
-    def reduce_masks(
-        self,
-        ctx: ReduceContext,
-        smasks: Sequence[int],
-        state: Optional[KernelState],
-        stats: ReduceStats,
-    ) -> Set[int]:
-        """Reduce a batch of total-order variant masks to kept edges.
-
-        Deduplicates against ``state`` (exact hits), walks small deltas
-        through the prefix trie (prefix extends) and sends large cold
-        batches through :meth:`bulk_reduce_union` (misses), keeping the
-        three kinds of cache traffic separately accounted in ``stats``.
-        """
-        if state is None:
-            seen: Set[int] = set()
-            marked_union: Set[int] = set()
-            trie = None
-        else:
-            seen = state.seen_masks
-            marked_union = state.marked_union
-            trie = state.trie
-        new: List[int] = []
-        for smask in smasks:
-            if smask in seen:
-                stats.exact_hits += 1
-            else:
-                seen.add(smask)
-                new.append(smask)
-        if new:
-            stats.misses += len(new)
-            if state is not None and len(new) <= WALKER_BATCH_LIMIT:
-                extends = 0
-                for smask in new:
-                    kept, resumed = walk_reduce(ctx, smask, trie)
-                    if resumed:
-                        extends += 1
-                    marked_union |= kept
-                stats.prefix_extends = extends
-                stats.misses -= extends
-                stats.bump("walker", len(new))
-            else:
-                marked_union |= self.bulk_reduce_union(ctx, new)
-                stats.bump("slotted", len(new))
-        return set(marked_union)
-
-
-class PureKernel(Kernel):
-    """The legacy scalar pipeline, unchanged — also the safety net."""
-
-    name = "pure"
-    supports_masks = False
-
-
-class BitsetKernel(Kernel):
-    """Big-int slotted batch reduction + prefix-reuse walker."""
-
-    name = "bitset"
-    supports_masks = True
-
-    def bulk_reduce_union(
-        self, ctx: ReduceContext, smasks: Sequence[int]
-    ) -> Set[int]:
-        return slotted_reduce_union(ctx, smasks)
-
-
-class NumpyKernel(BitsetKernel):
-    """Numpy-vectorized batch reduction; everything else as bitset."""
-
-    name = "numpy"
-
-    def __init__(self) -> None:
-        try:
-            import numpy
-        except ImportError as exc:  # pragma: no cover - numpy-free leg
-            raise KernelUnavailableError(
-                "kernel 'numpy' requires numpy, which is not installed; "
-                "use --kernel bitset (the default) or install numpy"
-            ) from exc
-        self._np = numpy
-
-    def bulk_reduce_union(
-        self, ctx: ReduceContext, smasks: Sequence[int]
-    ) -> Set[int]:
-        return _numpy_reduce_union(self._np, ctx, smasks)
-
-
-def _numpy_reduce_union(
-    np: Any, ctx: ReduceContext, smasks: Sequence[int]
+def reduce_masks(
+    ctx: ReduceContext,
+    smasks: Sequence[int],
+    state: Optional[KernelState],
+    stats: ReduceStats,
 ) -> Set[int]:
-    """Batched Algorithm 4 over position-space boolean tensors.
+    """Reduce a batch of total-order variant masks to kept edges.
 
-    Same mathematics as :func:`slotted_reduce_union`, vectorized over
-    ``(variant, position, position)`` boolean arrays: one fancy-indexed
-    gather builds every variant's induced adjacency at once, and ``k``
-    tensor steps (k = longest variant) advance all ancestor sets.
+    Deduplicates against ``state`` (exact hits), walks small deltas
+    through the prefix trie (prefix extends) and sends large cold
+    batches through :func:`slotted_reduce_union` (misses), keeping the
+    three kinds of cache traffic separately accounted in ``stats``.
     """
-    count = len(smasks)
-    if count == 0:
-        return set()
-    n = ctx.n
-    slot_bytes = ctx.slot_bytes
-    data = b"".join(m.to_bytes(slot_bytes, "little") for m in smasks)
-    bits = np.unpackbits(
-        np.frombuffer(data, dtype=np.uint8).reshape(count, slot_bytes),
-        axis=1,
-        bitorder="little",
-    )[:, :n]
-    ranked = np.zeros(n, dtype=bool)
-    rank_arr = np.full(n, -1, dtype=np.int64)
-    for u, r in ctx.rank.items():
-        ranked[u] = True
-        rank_arr[u] = r
-    bits = bits.astype(bool) & ranked[None, :]
-    t_idx, u_idx = np.nonzero(bits)
-    if t_idx.size == 0:
-        return set()
-    order = np.lexsort((rank_arr[u_idx], t_idx))
-    t_sorted = t_idx[order]
-    u_sorted = u_idx[order]
-    counts = np.bincount(t_sorted, minlength=count)
-    k_max = int(counts.max())
-    ids = np.zeros((count, k_max), dtype=np.int64)
-    valid = np.arange(k_max)[None, :] < counts[:, None]
-    ids[valid] = u_sorted
-
-    edge_matrix = np.zeros((n, n), dtype=bool)
-    for u, targets in ctx.adjacency.items():
-        edge_matrix[u, targets] = True
-    # induced[t, i, j] — variant t activates the edge ids[i] -> ids[j]
-    induced = edge_matrix[ids[:, :, None], ids[:, None, :]]
-    induced &= valid[:, :, None] & valid[:, None, :]
-
-    anc = np.zeros((count, k_max, k_max), dtype=bool)
-    kept = np.zeros_like(induced)
-    for j in range(k_max):
-        pred = induced[:, :, j]
-        through = (pred[:, :, None] & anc).any(axis=1)
-        kept[:, :, j] = pred & ~through
-        anc[:, j, :] = through | pred
-    t_kept, i_kept, j_kept = np.nonzero(kept)
-    codes = ids[t_kept, i_kept] * n + ids[t_kept, j_kept]
-    return set(np.unique(codes).tolist())
-
-
-# ----------------------------------------------------------------------
-# Selection
-# ----------------------------------------------------------------------
-_KERNELS: Dict[str, Kernel] = {}
-
-
-def get_kernel(name: Optional[str] = None) -> Kernel:
-    """Return the kernel selected by ``name``/environment/default.
-
-    Instances are cached per name; the numpy kernel imports numpy on
-    first use and raises :class:`~repro.errors.KernelUnavailableError`
-    when it is missing.
-    """
-    resolved = resolve_kernel_name(name)
-    kernel = _KERNELS.get(resolved)
-    if kernel is None:
-        if resolved == "pure":
-            kernel = PureKernel()
-        elif resolved == "bitset":
-            kernel = BitsetKernel()
+    if state is None:
+        seen: Set[int] = set()
+        marked_union: Set[int] = set()
+        trie = None
+    else:
+        seen = state.seen_masks
+        marked_union = state.marked_union
+        trie = state.trie
+    new: List[int] = []
+    for smask in smasks:
+        if smask in seen:
+            stats.exact_hits += 1
         else:
-            kernel = NumpyKernel()
-        _KERNELS[resolved] = kernel
-    return kernel
+            seen.add(smask)
+            new.append(smask)
+    if new:
+        stats.misses += len(new)
+        if state is not None and len(new) <= WALKER_BATCH_LIMIT:
+            extends = 0
+            for smask in new:
+                kept, resumed = walk_reduce(ctx, smask, trie)
+                if resumed:
+                    extends += 1
+                marked_union |= kept
+            stats.prefix_extends = extends
+            stats.misses -= extends
+            stats.bump("walker", len(new))
+        else:
+            marked_union |= slotted_reduce_union(ctx, new)
+            stats.bump("slotted", len(new))
+    return set(marked_union)
 
 
 def scalar_reduce_union(

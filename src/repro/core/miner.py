@@ -106,15 +106,6 @@ class ProcessMiner:
     conditions_miner:
         Custom conditions learner (defaults to a fresh
         :class:`ConditionsMiner`).
-    jobs:
-        Worker processes for pair extraction and step-5 marking
-        (``None`` defers to the ``REPRO_JOBS`` environment variable;
-        1 = serial).  The mined graph is identical for any value.
-    kernel:
-        Mining kernel name — ``"pure"``, ``"bitset"`` or ``"numpy"``
-        (``None`` defers to ``REPRO_KERNEL``, else the default
-        ``bitset``).  Kernels only change throughput, never the mined
-        graph; see :mod:`repro.core.kernels`.
     recorder:
         :mod:`repro.obs` recorder threaded through every stage (spans
         and the stable metric catalogue of ``docs/OBSERVABILITY.md``).
@@ -138,9 +129,7 @@ class ProcessMiner:
         threshold: int = 0,
         learn_conditions: bool = False,
         conditions_miner: Optional[ConditionsMiner] = None,
-        jobs: Optional[int] = None,
         recorder: Optional[Recorder] = None,
-        kernel: Optional[str] = None,
     ) -> None:
         if algorithm not in _ALGORITHMS:
             raise ValueError(
@@ -152,8 +141,6 @@ class ProcessMiner:
         self.threshold = threshold
         self.learn_conditions = learn_conditions
         self.conditions_miner = conditions_miner or ConditionsMiner()
-        self.jobs = jobs
-        self.kernel = kernel
         self.recorder: Recorder = resolve_recorder(recorder)
 
     def mine(self, log: EventLog) -> MiningResult:
@@ -170,24 +157,18 @@ class ProcessMiner:
                         "the noise threshold applies to Algorithms 2 and "
                         "3; use algorithm='general-dag' for noisy logs"
                     )
-                graph = mine_special_dag(
-                    log, jobs=self.jobs, recorder=recorder
-                )
+                graph = mine_special_dag(log, recorder=recorder)
             elif algorithm == ALGORITHM_GENERAL:
                 graph = mine_general_dag(
                     log,
                     threshold=self.threshold,
                     trace=trace,
-                    jobs=self.jobs,
-                    kernel=self.kernel,
                 )
             else:
                 graph = mine_cyclic(
                     log,
                     threshold=self.threshold,
                     trace=trace,
-                    jobs=self.jobs,
-                    kernel=self.kernel,
                 )
 
         source, sink = _endpoints(log)

@@ -10,7 +10,7 @@ reduction per execution in step 5.
 It exists for two reasons:
 
 * the differential test suite asserts that the fast interned/variant/
-  parallel paths produce graphs, traces and noise counters *identical*
+  bit-parallel paths produce graphs, traces and noise counters *identical*
   to this reference on arbitrary logs, and
 * the performance harness (``benchmarks/perf_harness.py``) measures the
   fast core's speedup against it honestly — same satellites, old

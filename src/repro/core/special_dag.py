@@ -32,7 +32,6 @@ from repro.obs.recorder import NULL_RECORDER, Recorder
 def mine_special_dag(
     log: EventLog,
     strict: bool = True,
-    jobs: Optional[int] = None,
     recorder: Recorder = NULL_RECORDER,
 ) -> DiGraph:
     """Mine the minimal conformal graph of ``log`` with Algorithm 1.
@@ -47,9 +46,6 @@ def mine_special_dag(
         When true (default), raise :class:`MiningError` if some execution
         misses an activity or repeats one, instead of returning a graph
         whose minimality guarantee is void.
-    jobs:
-        Worker processes for pair extraction (``None`` defers to
-        ``REPRO_JOBS``; 1 = serial).
     recorder:
         :mod:`repro.obs` sink for spans (``mine/prepare``,
         ``mine/step3_filters``, ``mine/step5_reduce``,
@@ -77,9 +73,7 @@ def mine_special_dag(
 
     # Step 2 — pair sets, extracted once per distinct trace variant.
     with recorder.span("mine/prepare"):
-        prepared = prepare_executions(
-            list(log), labelled=False, jobs=jobs, recorder=recorder
-        )
+        prepared = prepare_executions(list(log), labelled=False)
         distinct = set(prepared)
 
         labels: set = set(activities)

@@ -43,7 +43,6 @@ files, and ``merge-states`` and :meth:`IncrementalMiner.resume
 from __future__ import annotations
 
 import json
-import pickle
 from collections import Counter, OrderedDict
 from itertools import combinations
 
@@ -60,12 +59,10 @@ except ImportError:  # pragma: no cover - non-CPython fallback
 from pathlib import Path
 from typing import (
     TYPE_CHECKING,
-    Callable,
     Dict,
     FrozenSet,
     Hashable,
     Iterable,
-    Iterator,
     List,
     Optional,
     Sequence,
@@ -74,18 +71,11 @@ from typing import (
 )
 
 from repro.core.interning import InternTable
-from repro.core.kernels import KernelState, get_kernel
-from repro.core.parallel import (
-    RetryPolicy,
-    process_fold,
-    resolve_jobs,
-    supervised_fold,
-)
+from repro.core.kernels import KernelState
 from repro.errors import CheckpointError
 from repro.logs.execution import Execution
 from repro.obs.recorder import NULL_RECORDER, Recorder
 from repro.resilience.durable import PREVIOUS_SUFFIX, crc32c, durable_write
-from repro.resilience.faults import maybe_fault
 
 if TYPE_CHECKING:
     # Runtime imports would recreate the state<->general_dag cycle;
@@ -205,7 +195,7 @@ class MiningState:
         self._execution_count = 0
         # Trace-level accelerator: variant_key -> packed triple, so a
         # repeated trace skips the quadratic pair extraction.  Never
-        # serialized and cleared before a worker ships its state.
+        # serialized.
         self._trace_cache: Dict[Tuple, VariantKey] = {}
         # Prepared-variant memo: interned id tuple of a *sequential*
         # trace -> packed triple.  A sequential trace's pair set is
@@ -400,7 +390,7 @@ class MiningState:
     def _pack_execution(self, execution: Execution) -> VariantKey:
         """Extract one execution's packed ``(vertices, pairs, overlaps)``.
 
-        Mirrors :func:`repro.core.general_dag._pack_chunk`: sequential
+        Mirrors :func:`repro.core.general_dag._pack_execution`: sequential
         traces (the common case) produce packed codes directly from the
         interned id sequence via the suffix-set trick; interval-
         overlapping traces fall back to the cached label-level sets.
@@ -644,7 +634,7 @@ class MiningState:
         )
         self._execution_count += other._execution_count
         # Memo traffic is observability, not content: roll the other
-        # state's counters up so parallel folds report like serial ones.
+        # state's counters up so merged shards report like one fold.
         self.memo_hits += other.memo_hits
         self.memo_misses += other.memo_misses
         self.memo_evictions += other.memo_evictions
@@ -726,10 +716,8 @@ class MiningState:
         self,
         threshold: int = 0,
         trace: Optional["MiningTrace"] = None,
-        jobs: Optional[int] = None,
         skip_scc_removal: bool = False,
         skip_execution_marking: bool = False,
-        kernel: Optional[str] = None,
     ) -> "DiGraph":
         """Run steps 2–6 over the accumulated variants.
 
@@ -755,7 +743,7 @@ class MiningState:
         previous graph.  The threshold > 1 and repeated-activity
         variants still verify per call in ``O(variants)``.
         """
-        # Local import: general_dag imports interning/parallel like this
+        # Local import: general_dag imports interning/kernels like this
         # module does, and the incremental miner sits on top of both.
         from repro.core.general_dag import MiningTrace, _mine_packed
 
@@ -769,9 +757,7 @@ class MiningState:
             trace=trace if trace is not None else MiningTrace(),
             skip_scc_removal=skip_scc_removal,
             skip_execution_marking=skip_execution_marking,
-            jobs=jobs,
             reduction_memo=self._reduction_memo_for_cap(),
-            kernel=get_kernel(kernel),
             kernel_state=self._kernel_state,
             counters=(self._pair_counts, self._overlap_counts,
                       self._presence),
@@ -1131,151 +1117,32 @@ def load_state_with_fallback(
 
 
 # ----------------------------------------------------------------------
-# Streaming fold (serial or one compact state per worker chunk)
+# Streaming fold
 # ----------------------------------------------------------------------
-def _fold_chunk(
-    args: Tuple[bool, List[Execution], bool],
-) -> Tuple[MiningState, int]:
-    """Worker: fold a chunk of executions into one partial state.
-
-    Returns ``(partial_state, per_item_bytes)`` where the second field
-    — measured only when the chunk's ``measure`` flag is set — is the
-    pickled size of the per-execution packed triples the pre-streaming
-    ``process_map`` path would have shipped back instead.  Comparing it
-    against ``repro_parallel_ipc_bytes_total{payload="result"}`` (the
-    compact state actually sent) gives the IPC bytes saved.
-    """
-    labelled, executions, measure = args
-    # Fault-injection choke point: worker-crash / worker-hang faults
-    # fire here to drive the supervisor's recovery paths.
-    maybe_fault("fold.chunk")
-    # Measurement mode reproduces the per-item triples via the trace
-    # cache, which the prepared-variant memo fast path bypasses — so
-    # disable the memo while measuring (the folded content is the same
-    # either way).
-    partial = MiningState(
-        labelled=labelled,
-        memo_size=0 if measure else DEFAULT_VARIANT_MEMO,
-    )
-    per_item: Optional[List] = [] if measure else None
-    for execution in executions:
-        partial.update(execution)
-        if per_item is not None:
-            per_item.append(
-                partial._trace_cache[execution.variant_key()]
-            )
-    per_item_bytes = (
-        len(pickle.dumps(per_item)) if per_item is not None else 0
-    )
-    # The trace cache and prepared-variant memo are local accelerators
-    # only; dropping them keeps the IPC payload at one compact state
-    # per chunk.
-    partial._trace_cache.clear()
-    partial._prepared_memo.clear()
-    return partial, per_item_bytes
-
-
 def fold_executions(
     executions: Iterable[Execution],
     labelled: bool = False,
-    jobs: Optional[int] = None,
-    chunk_size: int = 1024,
     recorder: Recorder = NULL_RECORDER,
     state: Optional[MiningState] = None,
-    retry: Optional[RetryPolicy] = None,
-    on_poisoned: Optional[Callable] = None,
 ) -> MiningState:
     """Fold an execution *stream* into a :class:`MiningState`.
 
-    Memory stays bounded by the state size plus (with ``jobs > 1``) a
-    bounded window of in-flight chunks: the input is consumed lazily,
-    never materialized as a list or :class:`~repro.logs.event_log.
-    EventLog`.  With ``jobs > 1`` worker processes fold ``chunk_size``
-    executions each into a partial state and ship *one compact state
-    per chunk* back (see :func:`repro.core.parallel.process_fold`),
-    which the parent merges in submission order — deterministic and
-    identical to the serial fold.
-
-    Passing a :class:`~repro.core.parallel.RetryPolicy` as ``retry``
-    upgrades the parallel path to :func:`~repro.core.parallel.
-    supervised_fold`: hung or crashed workers are detected, the chunk
-    is retried under the policy's backoff budget, and chunks that
-    exhaust it are skipped (the mine continues degraded) after being
-    reported through ``on_poisoned(executions, reason)``.
+    Memory stays bounded by the state size: the input is consumed
+    lazily, never materialized as a list or :class:`~repro.logs.
+    event_log.EventLog`.
 
     Folds into ``state`` when given (e.g. to continue a resumed one),
     else into a fresh state; returns the folded state either way.
     """
-    if chunk_size < 1:
-        raise ValueError("chunk_size must be >= 1")
     if state is None:
         state = MiningState(labelled=labelled)
     elif state.labelled != labelled:
         raise ValueError(
             "state.labelled does not match the requested labelled flag"
         )
-    jobs = resolve_jobs(jobs)
     before = fold_counters(state)
-    if jobs <= 1:
-        for execution in executions:
-            state.update(execution)
-    else:
-        measure = recorder.enabled
-
-        def chunks() -> Iterator[Tuple[bool, List[Execution], bool]]:
-            buffer: List[Execution] = []
-            for execution in executions:
-                buffer.append(execution)
-                if len(buffer) >= chunk_size:
-                    yield (labelled, buffer, measure)
-                    buffer = []
-            if buffer:
-                yield (labelled, buffer, measure)
-
-        def fold(result: Tuple[MiningState, int]) -> None:
-            partial, per_item_bytes = result
-            if per_item_bytes:
-                recorder.count(
-                    "repro_parallel_ipc_bytes_total",
-                    per_item_bytes,
-                    labels={
-                        "stage": "stream_fold",
-                        "payload": "per_item_equivalent",
-                    },
-                )
-            state.merge(partial)
-
-        if retry is not None:
-
-            def report(
-                chunk_args: Tuple[bool, List[Execution], bool],
-                reason: str,
-            ) -> None:
-                if on_poisoned is not None:
-                    # Unwrap the worker tuple back to the executions.
-                    on_poisoned(chunk_args[1], reason)
-
-            supervised_fold(
-                _fold_chunk,
-                chunks(),
-                jobs,
-                fold,
-                policy=retry,
-                recorder=recorder,
-                stage="stream_fold",
-                on_poisoned=report,
-            )
-        else:
-            process_fold(
-                _fold_chunk,
-                chunks(),
-                jobs,
-                fold,
-                recorder=recorder,
-                stage="stream_fold",
-            )
-    # merge() rolls worker-partial memo counters up into the parent
-    # state, so the deltas cover serial and parallel folds alike.
+    for execution in executions:
+        state.update(execution)
     publish_fold(recorder, state, before)
     return state
 

@@ -1,8 +1,8 @@
 """repro.devlint — the codebase linting itself.
 
 An AST-based (stdlib ``ast``) analyzer that checks this repository's
-source against the runtime contracts the ``repro.resilience``,
-``repro.obs`` and ``repro.core.parallel`` layers established:
+source against the runtime contracts the ``repro.resilience`` and
+``repro.obs`` layers established:
 
 * **RL1xx durability** — artifact writes go through ``durable_write``,
   renames carry fsync, session paths come from the session constants;
@@ -10,8 +10,8 @@ source against the runtime contracts the ``repro.resilience``,
   lossy float formats on canonical-output paths;
 * **RL3xx observability** — metric names match the declared registry
   in :mod:`repro.obs.registry`, CLI handlers open spans;
-* **RL4xx concurrency** — pool submissions pickle, workers do not
-  mutate globals, choke points do not swallow injected faults.
+* **RL4xx fault handling** — choke points do not swallow injected
+  faults.
 
 It shares the diagnostic vocabulary and emitters of the model linter
 (:mod:`repro.lint`): the same :class:`~repro.lint.diagnostics.Severity`

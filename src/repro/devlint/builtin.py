@@ -9,9 +9,8 @@ Four families, mirroring the runtime contracts PRs 4–6 introduced:
   set iteration order, wall clocks, or lossy float formatting.
 * **RL3xx observability** — metric names are declared in
   :mod:`repro.obs.registry` and emitted; CLI handlers publish spans.
-* **RL4xx concurrency** — pool submissions must be picklable, workers
-  must not mutate module globals, and choke-point code must not
-  swallow injected faults.
+* **RL4xx fault handling** — choke-point code must not swallow
+  injected faults.
 
 Rules are deliberately syntactic: no imports are executed, no type
 inference beyond same-class/same-function assignment tracking.  False
@@ -701,144 +700,10 @@ def check_cli_handler_without_span(
 
 
 # ---------------------------------------------------------------------------
-# RL4xx — concurrency
+# RL4xx — fault handling
 # ---------------------------------------------------------------------------
-_POOL_FUNCTIONS = {
-    "process_map",
-    "process_map_timed",
-    "process_fold",
-    "supervised_fold",
-}
-
-
-def _pool_fn_argument(node: ast.Call) -> Optional[ast.expr]:
-    """The worker-callable argument of a pool call, if this is one."""
-    name = _dotted(node.func)
-    short = name.rsplit(".", 1)[-1]
-    if short in _POOL_FUNCTIONS:
-        for keyword in node.keywords:
-            if keyword.arg == "fn":
-                return keyword.value
-        return node.args[0] if node.args else None
-    if (
-        isinstance(node.func, ast.Attribute)
-        and node.func.attr == "submit"
-        and node.args
-    ):
-        return node.args[0]
-    return None
-
-
-@devrule(
-    "RL401",
-    "unpicklable-pool-submission",
-    Severity.WARNING,
-    "Lambda, bound method, or closure submitted to a process pool; "
-    "it cannot pickle (or silently rebinds state) across fork/spawn",
-)
-def check_unpicklable_pool_submission(
-    module: SourceModule, context: DevContext
-) -> Iterator[DevFinding]:
-    if module.tree is None:
-        return
-
-    def visit(
-        node: ast.AST, nested_defs: Set[str], depth: int
-    ) -> Iterator[DevFinding]:
-        for child in ast.iter_child_nodes(node):
-            if isinstance(
-                child, (ast.FunctionDef, ast.AsyncFunctionDef)
-            ):
-                inner = {
-                    stmt.name
-                    for stmt in ast.walk(child)
-                    if isinstance(
-                        stmt, (ast.FunctionDef, ast.AsyncFunctionDef)
-                    )
-                    and stmt is not child
-                }
-                yield from visit(child, nested_defs | inner, depth + 1)
-                continue
-            if isinstance(child, ast.Call):
-                fn = _pool_fn_argument(child)
-                problem: Optional[str] = None
-                if isinstance(fn, ast.Lambda):
-                    problem = "a lambda"
-                elif isinstance(fn, ast.Attribute):
-                    problem = f"the bound attribute {_dotted(fn)!r}"
-                elif (
-                    isinstance(fn, ast.Name)
-                    and depth > 0
-                    and fn.id in nested_defs
-                ):
-                    problem = f"the closure {fn.id!r}"
-                if problem is not None:
-                    yield DevFinding(
-                        message=(
-                            f"{problem} is submitted to a process "
-                            "pool; only module-level functions "
-                            "pickle reliably"
-                        ),
-                        module=module,
-                        line=child.lineno,
-                        fixit=(
-                            "hoist the worker to a module-level "
-                            "function taking its state as an "
-                            "argument tuple"
-                        ),
-                    )
-            yield from visit(child, nested_defs, depth)
-
-    yield from visit(module.tree, set(), 0)
-
-
-@devrule(
-    "RL402",
-    "global-mutation-in-worker",
-    Severity.WARNING,
-    "Pool worker function declares `global`; the mutation happens in "
-    "a forked child and is silently lost in the parent",
-)
-def check_global_mutation_in_worker(
-    module: SourceModule, context: DevContext
-) -> Iterator[DevFinding]:
-    if module.tree is None:
-        return
-    worker_names: Set[str] = set()
-    for node in ast.walk(module.tree):
-        if isinstance(node, ast.Call):
-            fn = _pool_fn_argument(node)
-            if isinstance(fn, ast.Name):
-                worker_names.add(fn.id)
-    if not worker_names:
-        return
-    for function, _ in _functions(module.tree):
-        if function.name not in worker_names:
-            continue
-        for node in ast.walk(function):
-            if isinstance(node, ast.Global):
-                yield DevFinding(
-                    message=(
-                        f"worker {function.name} mutates module "
-                        f"global(s) {', '.join(node.names)}; the "
-                        "write lands in the child process only"
-                    ),
-                    module=module,
-                    line=node.lineno,
-                    fixit=(
-                        "return the value from the worker and fold "
-                        "it in the parent instead"
-                    ),
-                )
-
-
 def _is_choke_point(module: SourceModule) -> bool:
-    return (
-        module.in_resilience
-        or "maybe_fault" in module.source
-        or "ProcessPoolExecutor" in module.source
-        or "BrokenProcessPool" in module.source
-    )
+    return module.in_resilience or "maybe_fault" in module.source
 
 
 @devrule(

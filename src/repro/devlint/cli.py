@@ -36,7 +36,7 @@ def build_parser() -> argparse.ArgumentParser:
         description=(
             "AST-based analyzer checking this repository's source "
             "against its durability, determinism, observability, and "
-            "concurrency contracts (RL codes; see docs/LINTING.md)"
+            "fault-handling contracts (RL codes; see docs/LINTING.md)"
         ),
     )
     parser.add_argument(
@@ -59,7 +59,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="CODES",
         help=(
-            "comma-separated code prefixes to enable (e.g. RL1,RL401); "
+            "comma-separated code prefixes to enable (e.g. RL1,RL403); "
             "default: all"
         ),
     )

@@ -170,15 +170,6 @@ class NotConformalError(MiningError, AssertionError):
         self.violations = list(violations)
 
 
-class KernelUnavailableError(ReproError, ValueError):
-    """A requested mining kernel cannot be used.
-
-    Raised when ``--kernel`` / ``REPRO_KERNEL`` names an unknown kernel,
-    or names the optional ``numpy`` kernel in an environment where numpy
-    is not installed (numpy is never a hard dependency).
-    """
-
-
 class ClassifierError(ReproError):
     """Base class for errors raised by :mod:`repro.classifier`."""
 

@@ -72,10 +72,6 @@ REASON_MIXED_PROCESS = "mixed-process"
 REASON_MALFORMED_EXECUTION = "malformed-execution"
 REASON_EMPTY_EXECUTION = "empty-execution"
 REASON_LATE_RECORD = "late-record"
-#: Executions whose fold chunk exhausted the supervised fold's retry
-#: budget (see :func:`repro.core.parallel.supervised_fold`); the mine
-#: continued without them, so they land in quarantine for replay.
-REASON_POISONED_CHUNK = "poisoned-chunk"
 
 QUARANTINE_REASONS = (
     REASON_BAD_LINE,
@@ -83,7 +79,6 @@ QUARANTINE_REASONS = (
     REASON_MALFORMED_EXECUTION,
     REASON_EMPTY_EXECUTION,
     REASON_LATE_RECORD,
-    REASON_POISONED_CHUNK,
 )
 
 #: Default finalization window of :func:`iter_ingest_lines`: an open
@@ -194,29 +189,6 @@ class Quarantine:
                 json.dumps(item.to_json(), sort_keys=True) + "\n"
             )
             self._handle.flush()
-
-    def add_poisoned_executions(
-        self, executions: Iterable[Execution], detail: str
-    ) -> int:
-        """Divert a poisoned fold chunk's executions; returns how many.
-
-        The supervised fold hands back the chunk that exhausted its
-        retry budget; each execution is preserved as a re-processable
-        ``poisoned-chunk`` dead-letter record.
-        """
-        count = 0
-        for execution in executions:
-            self.add(
-                QuarantinedItem(
-                    kind="execution",
-                    reason=REASON_POISONED_CHUNK,
-                    detail=detail,
-                    execution_id=execution.execution_id,
-                    payload=_record_payload(execution.records),
-                )
-            )
-            count += 1
-        return count
 
     def close(self) -> None:
         """Close the dead-letter file, if one was opened."""

@@ -567,8 +567,8 @@ def fold_log_jsonl_file(
     byte for byte, and so do the folded state and the
     ``repro_stream_executions_total`` / ``repro_ingest_variant_memo_total``
     counters; ``repro_ingest_line_memo_total`` adds the line memo's
-    traffic.  Journaling and parallel folds keep using the iterator —
-    this path never yields the executions they need.
+    traffic.  Journaling keeps using the iterator — this path never
+    yields the executions it needs.
 
     Folds into ``state`` when given (its ``labelled`` flag must match),
     else into a fresh state.

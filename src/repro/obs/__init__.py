@@ -5,7 +5,7 @@ Layers
 :mod:`repro.obs.metrics`
     Typed counters/gauges/histograms in a per-run
     :class:`~repro.obs.metrics.MetricsRegistry` with deterministic
-    parallel-job merging.
+    registry merging.
 :mod:`repro.obs.recorder`
     Hierarchical spans (wall + CPU time) via
     :class:`~repro.obs.recorder.ObsRecorder`, and the disabled-by-default

@@ -83,7 +83,6 @@ def environment_info() -> dict:
         "implementation": platform.python_implementation(),
         "platform": platform.platform(),
         "argv0": os.path.basename(sys.argv[0]) if sys.argv else "",
-        "repro_jobs": os.environ.get("REPRO_JOBS", ""),
     }
 
 

@@ -12,12 +12,10 @@ Metrics are keyed by ``(name, labels)`` where labels are an immutable
 sorted tuple of ``(key, value)`` string pairs, so the same logical series
 is always the same object regardless of keyword order at the call site.
 
-``merge`` folds another registry in — the parallel workers each fill a
-private registry and the coordinator merges them in submission order.
-Counter and histogram merging is commutative (addition), so the merged
-totals are identical for any merge order; gauges take the incoming value
-(last merge wins), which is deterministic because merge order is
-submission order.
+``merge`` folds another registry in.  Counter and histogram merging is
+commutative (addition), so the merged totals are identical for any merge
+order; gauges take the incoming value (last merge wins), so a caller
+that merges in a fixed order gets a deterministic result.
 
 Stable metric names are catalogued in ``docs/OBSERVABILITY.md``; code
 should treat a rename as a breaking change.
@@ -251,7 +249,7 @@ class MetricsRegistry:
         return samples
 
     # ------------------------------------------------------------------
-    # Merge (parallel-job fan-in)
+    # Merge
     # ------------------------------------------------------------------
     def merge(self, other: "MetricsRegistry") -> None:
         """Fold ``other`` into this registry.

@@ -171,7 +171,7 @@ class ObsRecorder:
         self.registry.histogram(name, labels, bounds=bounds).observe(value)
 
     def merge_registry(self, other: MetricsRegistry) -> None:
-        """Fold a worker's registry into this run's registry."""
+        """Fold another registry into this run's registry."""
         self.registry.merge(other)
 
 

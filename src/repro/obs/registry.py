@@ -91,12 +91,7 @@ DECLARED_METRICS: Tuple[MetricSpec, ...] = (
         "Edges dropped by the noise threshold or overlap filter",
         "cause",
     ),
-    # Mining kernels (pluggable hot-path backends).
-    _counter(
-        "repro_kernel_runs_total",
-        "Mining runs per selected kernel",
-        "kernel",
-    ),
+    # Step-5 reduction (repro.core.kernels).
     _counter(
         "repro_kernel_reductions_total",
         "Step-5 reductions computed, by implementation path",
@@ -175,38 +170,6 @@ DECLARED_METRICS: Tuple[MetricSpec, ...] = (
         "Lint diagnostics produced, by severity",
         "severity",
     ),
-    # Process-pool parallelism.
-    _counter(
-        "repro_parallel_chunks_total",
-        "Chunks dispatched to worker processes",
-        "stage",
-    ),
-    _counter(
-        "repro_parallel_pool_fallback_total",
-        "Degrade-to-serial events when no process pool could start",
-        "stage",
-    ),
-    _counter(
-        "repro_parallel_ipc_bytes_total",
-        "Bytes shipped over IPC (result vs per_item_equivalent)",
-        "stage",
-        "payload",
-    ),
-    _counter(
-        "repro_fold_retries_total",
-        "Chunks resubmitted by the supervised fold",
-        "stage",
-    ),
-    _counter(
-        "repro_fold_timeouts_total",
-        "Hung-worker detections by the supervised fold",
-        "stage",
-    ),
-    _counter(
-        "repro_fold_poisoned_chunks_total",
-        "Chunks that exhausted their retry budget and were quarantined",
-        "stage",
-    ),
     # Service daemon (repro-miner serve).
     _counter(
         "repro_service_requests_total",
@@ -258,7 +221,6 @@ DECLARED_METRICS: Tuple[MetricSpec, ...] = (
         "Edge count after each mining stage",
         "stage",
     ),
-    _gauge("repro_mine_jobs", "Resolved worker-process count"),
     _gauge("repro_checkpoint_bytes", "Size of the last checkpoint"),
     _gauge(
         "repro_checkpoint_variants",
@@ -294,11 +256,6 @@ DECLARED_METRICS: Tuple[MetricSpec, ...] = (
         "index",
     ),
     # Histograms.
-    _histogram(
-        "repro_parallel_chunk_seconds",
-        "Per-worker-chunk wall time",
-        "stage",
-    ),
     _histogram(
         "repro_conditions_tree_depth",
         "Decision-tree depth per learned edge",

@@ -6,7 +6,7 @@ documented choke point (see the catalogue below), a fault kind, and
 the 1-based hit index at which it triggers.  The plan is installed
 into the process — programmatically via :func:`install` or ambiently
 through the ``REPRO_FAULT_PLAN`` environment variable (a path to a
-plan JSON file, honored by worker subprocesses too) — and the
+plan JSON file, honored by subprocesses too) — and the
 instrumented code consults :func:`maybe_fault` at each choke point.
 With no plan installed the choke points are a module-global ``None``
 check, so production runs pay nothing.
@@ -24,11 +24,6 @@ Fault kinds
     CRC framing, never at write time).
 ``sigkill``
     SIGKILL the current process at the choke point.
-``worker-crash``
-    ``os._exit(70)`` — kills a pool worker without Python teardown.
-``worker-hang``
-    Sleep for ``arg`` seconds (default 3600) — drives the supervised
-    fold's timeout path.
 ``clock-skew``
     Not tied to a hit count: shifts :func:`now` by ``arg`` seconds for
     the life of the plan (checkpoint-age style time reads).
@@ -40,7 +35,6 @@ Choke point catalogue
 ``checkpoint.save``   every durable-session checkpoint
 ``ingest.accept``     every accepted execution yielded by streaming ingest
 ``fold.merge``        every execution/chunk folded into the mining state
-``fold.chunk``        inside a parallel fold worker, per chunk
 ``clock``             the skewable clock (``clock-skew`` only)
 """
 
@@ -63,8 +57,6 @@ KIND_IO_ERROR = "io-error"
 KIND_TORN_WRITE = "torn-write"
 KIND_CORRUPT_BYTES = "corrupt-bytes"
 KIND_SIGKILL = "sigkill"
-KIND_WORKER_CRASH = "worker-crash"
-KIND_WORKER_HANG = "worker-hang"
 KIND_CLOCK_SKEW = "clock-skew"
 
 FAULT_KINDS = (
@@ -72,8 +64,6 @@ FAULT_KINDS = (
     KIND_TORN_WRITE,
     KIND_CORRUPT_BYTES,
     KIND_SIGKILL,
-    KIND_WORKER_CRASH,
-    KIND_WORKER_HANG,
     KIND_CLOCK_SKEW,
 )
 
@@ -82,7 +72,6 @@ POINT_JOURNAL_APPEND = "journal.append"
 POINT_CHECKPOINT_SAVE = "checkpoint.save"
 POINT_INGEST_ACCEPT = "ingest.accept"
 POINT_FOLD_MERGE = "fold.merge"
-POINT_FOLD_CHUNK = "fold.chunk"
 POINT_CLOCK = "clock"
 
 CHOKE_POINTS = (
@@ -91,7 +80,6 @@ CHOKE_POINTS = (
     POINT_CHECKPOINT_SAVE,
     POINT_INGEST_ACCEPT,
     POINT_FOLD_MERGE,
-    POINT_FOLD_CHUNK,
     POINT_CLOCK,
 )
 
@@ -131,7 +119,7 @@ class FaultSpec:
     """One planned fault: ``kind`` fires at hit ``at`` of ``point``.
 
     ``count`` extends the fault over that many consecutive hits;
-    ``arg`` is kind-specific (hang seconds, clock-skew seconds).
+    ``arg`` is kind-specific (the ``clock-skew`` seconds).
     """
 
     point: str
@@ -303,11 +291,6 @@ class FaultInjector:
             )
         if spec.kind == KIND_SIGKILL:
             hard_kill()
-        if spec.kind == KIND_WORKER_CRASH:
-            os._exit(70)
-        if spec.kind == KIND_WORKER_HANG:
-            time.sleep(spec.arg or 3600.0)
-            return payload
         if spec.kind == KIND_TORN_WRITE:
             data = payload if payload is not None else b""
             if len(data) < 2:
@@ -347,8 +330,8 @@ def get_injector() -> Optional[FaultInjector]:
     """The process's injector, loading ``REPRO_FAULT_PLAN`` lazily.
 
     The environment variable names a plan JSON file; it is read at most
-    once per process, so pool workers (fork or spawn) inherit the plan
-    with fresh per-process hit counts.
+    once per process, so child processes inherit the plan with fresh
+    per-process hit counts.
     """
     global _injector, _env_checked
     if _injector is None and not _env_checked:

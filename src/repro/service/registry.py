@@ -89,7 +89,6 @@ class TenantConfig:
     threshold: int = 0
     window: int = DEFAULT_STREAM_WINDOW
     checkpoint_every: int = DEFAULT_CHECKPOINT_EVERY
-    kernel: Optional[str] = None
     limits: IngestLimits = field(default_factory=IngestLimits)
 
     def __post_init__(self) -> None:
@@ -283,10 +282,7 @@ class Tenant:
             algorithm = ALGORITHM_CYCLIC
         else:
             algorithm = ALGORITHM_GENERAL
-        graph = state.finish(
-            threshold=self.config.threshold,
-            kernel=self.config.kernel,
-        )
+        graph = state.finish(threshold=self.config.threshold)
         if algorithm == ALGORITHM_CYCLIC:
             graph = merge_instances(graph)
         elif labelled:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cli import main
+from repro.cli import build_parser, main
 from repro.model.builder import ProcessBuilder
 from repro.model.conditions import attr_gt
 from repro.model.serialize import load_model, save_model
@@ -167,3 +167,35 @@ class TestVariantsAndConvert:
         original = read_log_file(simulated_log)
         roundtripped = read_log_file(back_path)
         assert roundtripped.sequences() == original.sequences()
+
+
+class TestOneSerialPath:
+    """Mining has one serial path: the worker-pool and kernel knobs are
+    gone, so argparse rejects them instead of silently ignoring them."""
+
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            ["mine", "{log}", "--jobs", "2"],
+            ["mine", "{log}", "--kernel", "bitset"],
+            ["mine", "{log}", "--stream", "--fold-retries", "1"],
+            ["merge-states", "{state}", "--jobs", "2"],
+            ["serve", "{data}", "--kernel", "bitset"],
+        ],
+        ids=["mine-jobs", "mine-kernel", "mine-fold-retries",
+             "merge-states-jobs", "serve-kernel"],
+    )
+    def test_removed_flags_are_argparse_errors(
+        self, tmp_path, simulated_log, capsys, extra
+    ):
+        paths = {
+            "log": str(simulated_log),
+            "state": str(tmp_path / "shard.state"),
+            "data": str(tmp_path / "data"),
+        }
+        argv = [part.format(**paths) for part in extra]
+        # Parse only: nothing may run (a serve would start a daemon).
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(argv)
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err

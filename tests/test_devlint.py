@@ -74,9 +74,9 @@ def codes(report):
 # Registry basics
 # ---------------------------------------------------------------------------
 class TestRegistry:
-    def test_twelve_rules_in_four_families(self):
+    def test_ten_rules_in_four_families(self):
         rules = all_dev_rules()
-        assert len(rules) == 12
+        assert len(rules) == 10
         families = {rule.code[:3] for rule in rules}
         assert families == {"RL1", "RL2", "RL3", "RL4"}
         assert [r.code for r in rules] == sorted(r.code for r in rules)
@@ -393,72 +393,6 @@ class TestObservabilityRules:
 # RL4xx concurrency
 # ---------------------------------------------------------------------------
 class TestConcurrencyRules:
-    def test_rl401_triggers_on_lambda_closure_and_bound_method(self):
-        report = run_on(
-            """
-            from repro.core.parallel import process_map
-
-            def run(items, pool, worker_object):
-                def local(chunk):
-                    return chunk
-
-                process_map(lambda c: c, items, 2)
-                process_map(local, items, 2)
-                pool.submit(worker_object.fold, items)
-            """,
-            select=["RL401"],
-        )
-        assert codes(report) == ["RL401", "RL401", "RL401"]
-
-    def test_rl401_clean_on_module_level_function(self):
-        report = run_on(
-            """
-            from repro.core.parallel import process_map
-
-            def worker(chunk):
-                return chunk
-
-            def run(items):
-                process_map(worker, items, 2)
-            """,
-            select=["RL401"],
-        )
-        assert codes(report) == []
-
-    def test_rl402_triggers_on_global_in_worker(self):
-        report = run_on(
-            """
-            from repro.core.parallel import process_map
-
-            _CACHE = {}
-
-            def worker(chunk):
-                global _CACHE
-                _CACHE = {"warm": True}
-                return chunk
-
-            def run(items):
-                process_map(worker, items, 2)
-            """,
-            select=["RL402"],
-        )
-        assert codes(report) == ["RL402"]
-
-    def test_rl402_clean_when_worker_returns_state(self):
-        report = run_on(
-            """
-            from repro.core.parallel import process_map
-
-            def worker(chunk):
-                return {"result": chunk}
-
-            def run(items):
-                process_map(worker, items, 2)
-            """,
-            select=["RL402"],
-        )
-        assert codes(report) == []
-
     def test_rl403_triggers_on_swallowing_except(self):
         report = run_on(
             """

@@ -1,7 +1,7 @@
-"""Differential tests: fast interned/variant/parallel core vs reference.
+"""Differential tests: fast interned/variant core vs reference.
 
 The high-throughput pipeline of :mod:`repro.core.general_dag` (packed
-pair codes, trace-variant dedup, optional worker processes) must be
+pair codes, trace-variant dedup, bit-parallel step 5) must be
 *byte-identical* in output to the naive per-execution pipeline retained
 in :mod:`repro.core.reference`.  These hypothesis properties drive both
 over random logs — sequential subset logs, duplicated-variant logs,
@@ -182,54 +182,3 @@ def test_incremental_matches_batch_reference(log):
     assert mined.edge_set() == ref.edge_set()
     assert miner.execution_count == len(log)
     assert miner.variant_count <= miner.execution_count
-
-
-# ---------------------------------------------------------------------------
-# Parallel determinism: jobs=1 and jobs=2 agree exactly
-# ---------------------------------------------------------------------------
-def test_parallel_jobs_deterministic_general():
-    log = EventLog.from_sequences(
-        ["SABZ", "SBAZ", "SACZ", "SCZ", "SABZ", "SBCZ"] * 3
-    )
-    serial_trace, parallel_trace = MiningTrace(), MiningTrace()
-    serial = mine_general_dag(log, trace=serial_trace, jobs=1)
-    parallel = mine_general_dag(log, trace=parallel_trace, jobs=2)
-    assert set(serial.nodes()) == set(parallel.nodes())
-    assert serial.edge_set() == parallel.edge_set()
-    assert serial_trace.pair_counts == parallel_trace.pair_counts
-    assert serial_trace.jobs == 1
-    assert parallel_trace.jobs == 2
-
-
-def test_parallel_jobs_deterministic_cyclic():
-    log = EventLog.from_sequences(
-        ["SABABZ", "SABZ", "SBAZ", "SABABZ"] * 2
-    )
-    serial = mine_cyclic(log, jobs=1)
-    parallel = mine_cyclic(log, jobs=2)
-    assert set(serial.nodes()) == set(parallel.nodes())
-    assert serial.edge_set() == parallel.edge_set()
-
-
-def test_parallel_jobs_match_on_interval_log():
-    records = []
-    for execution_id, offsets in (
-        ("p-0", [(0, 5), (2, 4), (6, 8)]),
-        ("p-1", [(0, 1), (1, 3), (2, 6)]),
-    ):
-        for (start, end), activity in zip(offsets, "ABC"):
-            records.append(start_event(execution_id, activity, start))
-            records.append(end_event(execution_id, activity, end))
-    log = EventLog(
-        [
-            Execution("p-0", [r for r in records if r.execution_id == "p-0"]),
-            Execution("p-1", [r for r in records if r.execution_id == "p-1"]),
-        ]
-    )
-    serial = mine_general_dag(log, jobs=1)
-    parallel = mine_general_dag(log, jobs=2)
-    ref = mine_general_dag_reference(log)
-    assert serial.edge_set() == parallel.edge_set() == ref.edge_set()
-    assert (
-        set(serial.nodes()) == set(parallel.nodes()) == set(ref.nodes())
-    )

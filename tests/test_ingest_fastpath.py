@@ -470,7 +470,7 @@ def _fold_outcome(state, firsts, lasts, report, quarantine, recorder,
 
 def iterator_fold(path, policy, window, labelled, memo_size):
     """``fold_executions`` over the execution iterator: the reference
-    ``mine --stream`` keeps for journaled and parallel folds."""
+    ``mine --stream`` keeps for journaled folds and the text codec."""
     quarantine, report, recorder = Quarantine(), IngestReport(), (
         ObsRecorder()
     )
@@ -761,7 +761,7 @@ class TestFusedStreamCli:
         self, tmp_path, capsys, algorithm
     ):
         """Same stdout, stderr, exit status, dead letters and state file
-        as the iterator path (``--fold-retries`` keeps it)."""
+        as the iterator path (``--journal`` keeps it)."""
         log = _log_with_bad_lines(tmp_path / "bad.jsonl")
         dead = tmp_path / "dead.jsonl"
         state_out = tmp_path / "state.json"
@@ -771,7 +771,7 @@ class TestFusedStreamCli:
             "--quarantine", str(dead), "--state-out", str(state_out),
         ]
         runs = []
-        for extra in ([], ["--fold-retries", "1"]):
+        for extra in ([], ["--journal", str(tmp_path / "journal")]):
             # The dead-letter sink appends; start each run empty.
             dead.unlink(missing_ok=True)
             status = main(argv + extra)

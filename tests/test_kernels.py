@@ -1,15 +1,13 @@
-"""Differential and unit tests for the pluggable mining kernels.
+"""Differential and unit tests for the bit-parallel step-5 machinery.
 
-Every kernel (``pure``, ``bitset``, and — when numpy is installed —
-``numpy``) must mine byte-identical graphs and reference-identical stage
-diagnostics on arbitrary logs; the batched step-5 path, the prefix-reuse
-cache, and the packed closure bitset are additionally checked directly
-against their scalar counterparts.
+The mining pipeline must mine graphs and stage diagnostics identical to
+:mod:`repro.core.reference` on arbitrary logs; the batched step-5 path,
+the prefix-reuse cache, and the packed closure bitset are additionally
+checked directly against their scalar counterparts.
 """
 
 import random
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -20,26 +18,17 @@ from repro.core.general_dag import (
 )
 from repro.core.interning import PackedVariant
 from repro.core.kernels import (
-    DEFAULT_KERNEL,
-    KERNEL_ENV,
-    KERNEL_NAMES,
-    BitsetKernel,
     KernelState,
-    PureKernel,
     ReduceContext,
     ReduceStats,
-    get_kernel,
     induced_codes,
-    numpy_available,
-    resolve_kernel_name,
+    reduce_masks,
     scalar_reduce_union,
     slotted_reduce_union,
     walk_reduce,
 )
-from repro.core.parallel import pack_masks, unpack_masks
 from repro.core.reference import mine_general_dag_reference
 from repro.core.state import MiningState
-from repro.errors import KernelUnavailableError
 from repro.graphs.digraph import DiGraph
 from repro.graphs.transitive import (
     transitive_closure,
@@ -49,17 +38,6 @@ from repro.graphs.transitive import (
 from repro.logs.event_log import EventLog
 from repro.logs.events import end_event, start_event
 from repro.logs.execution import Execution
-
-AVAILABLE_KERNELS = [
-    name
-    for name in KERNEL_NAMES
-    if name != "numpy" or numpy_available()
-]
-
-needs_numpy = pytest.mark.skipif(
-    not numpy_available(), reason="numpy is not installed"
-)
-
 
 # ---------------------------------------------------------------------------
 # Strategies
@@ -172,152 +150,45 @@ def assert_same_mining(fast, ref, fast_trace, ref_trace):
 
 
 # ---------------------------------------------------------------------------
-# Differential: every kernel vs the reference pipeline
+# Differential: the mining pipeline vs the reference pipeline
 # ---------------------------------------------------------------------------
-@pytest.mark.parametrize("kernel", AVAILABLE_KERNELS)
 @given(
     log=subset_logs(), threshold=st.integers(min_value=0, max_value=3)
 )
 @settings(max_examples=40, deadline=None)
-def test_kernel_matches_reference_on_subset_logs(
-    kernel, log, threshold
-):
+def test_matches_reference_on_subset_logs(log, threshold):
     fast_trace, ref_trace = MiningTrace(), MiningTrace()
-    fast = mine_general_dag(
-        log, threshold=threshold, trace=fast_trace, kernel=kernel
-    )
+    fast = mine_general_dag(log, threshold=threshold, trace=fast_trace)
     ref = mine_general_dag_reference(
         log, threshold=threshold, trace=ref_trace
     )
     assert_same_mining(fast, ref, fast_trace, ref_trace)
-    assert fast_trace.kernel == kernel
 
 
-@pytest.mark.parametrize("kernel", AVAILABLE_KERNELS)
 @given(
     log=noisy_logs(), threshold=st.integers(min_value=0, max_value=3)
 )
 @settings(max_examples=40, deadline=None)
-def test_kernel_matches_reference_on_noisy_logs(kernel, log, threshold):
+def test_matches_reference_on_noisy_logs(log, threshold):
     fast_trace, ref_trace = MiningTrace(), MiningTrace()
-    fast = mine_general_dag(
-        log, threshold=threshold, trace=fast_trace, kernel=kernel
-    )
+    fast = mine_general_dag(log, threshold=threshold, trace=fast_trace)
     ref = mine_general_dag_reference(
         log, threshold=threshold, trace=ref_trace
     )
     assert_same_mining(fast, ref, fast_trace, ref_trace)
 
 
-@pytest.mark.parametrize("kernel", AVAILABLE_KERNELS)
 @given(
     log=interval_logs(), threshold=st.integers(min_value=0, max_value=2)
 )
 @settings(max_examples=30, deadline=None)
-def test_kernel_matches_reference_on_interval_logs(
-    kernel, log, threshold
-):
+def test_matches_reference_on_interval_logs(log, threshold):
     fast_trace, ref_trace = MiningTrace(), MiningTrace()
-    fast = mine_general_dag(
-        log, threshold=threshold, trace=fast_trace, kernel=kernel
-    )
+    fast = mine_general_dag(log, threshold=threshold, trace=fast_trace)
     ref = mine_general_dag_reference(
         log, threshold=threshold, trace=ref_trace
     )
     assert_same_mining(fast, ref, fast_trace, ref_trace)
-
-
-@given(log=subset_logs())
-@settings(max_examples=30, deadline=None)
-def test_kernels_agree_with_each_other(log):
-    graphs = {
-        kernel: mine_general_dag(log, kernel=kernel)
-        for kernel in AVAILABLE_KERNELS
-    }
-    baseline = graphs["pure"]
-    for kernel, graph in graphs.items():
-        assert graph.edge_set() == baseline.edge_set(), kernel
-        assert set(graph.nodes()) == set(baseline.nodes()), kernel
-
-
-# ---------------------------------------------------------------------------
-# Kernel selection: explicit > environment > default
-# ---------------------------------------------------------------------------
-class TestKernelSelection:
-    def test_default_is_bitset(self, monkeypatch):
-        monkeypatch.delenv(KERNEL_ENV, raising=False)
-        assert resolve_kernel_name() == DEFAULT_KERNEL == "bitset"
-
-    def test_environment_overrides_default(self, monkeypatch):
-        monkeypatch.setenv(KERNEL_ENV, " Pure ")
-        assert resolve_kernel_name() == "pure"
-
-    def test_explicit_overrides_environment(self, monkeypatch):
-        monkeypatch.setenv(KERNEL_ENV, "pure")
-        assert resolve_kernel_name("bitset") == "bitset"
-
-    def test_unknown_explicit_name_raises(self):
-        with pytest.raises(KernelUnavailableError):
-            resolve_kernel_name("simd")
-
-    def test_unknown_environment_name_raises(self, monkeypatch):
-        monkeypatch.setenv(KERNEL_ENV, "turbo")
-        with pytest.raises(KernelUnavailableError):
-            resolve_kernel_name()
-
-    def test_get_kernel_returns_cached_instances(self):
-        assert get_kernel("pure") is get_kernel("pure")
-        assert isinstance(get_kernel("pure"), PureKernel)
-        assert isinstance(get_kernel("bitset"), BitsetKernel)
-        assert get_kernel("pure").supports_masks is False
-        assert get_kernel("bitset").supports_masks is True
-
-    def test_environment_selects_mining_kernel(self, monkeypatch):
-        monkeypatch.setenv(KERNEL_ENV, "pure")
-        log = EventLog.from_sequences(["SABZ", "SBAZ", "SAZ"])
-        trace = MiningTrace()
-        mine_general_dag(log, trace=trace)
-        assert trace.kernel == "pure"
-
-    def test_explicit_mining_kernel_beats_environment(
-        self, monkeypatch
-    ):
-        monkeypatch.setenv(KERNEL_ENV, "pure")
-        log = EventLog.from_sequences(["SABZ", "SBAZ", "SAZ"])
-        trace = MiningTrace()
-        mine_general_dag(log, trace=trace, kernel="bitset")
-        assert trace.kernel == "bitset"
-
-    @needs_numpy
-    def test_numpy_kernel_selectable(self):
-        assert get_kernel("numpy").name == "numpy"
-
-    def test_cli_rejects_unknown_kernel(self, tmp_path, capsys):
-        from repro.cli import main
-        from repro.logs.codec import write_log_file
-
-        path = tmp_path / "log.tsv"
-        write_log_file(
-            EventLog.from_sequences(["SABZ", "SAZ"]), path
-        )
-        with pytest.raises(SystemExit):
-            main(["mine", str(path), "--kernel", "turbo"])
-        capsys.readouterr()
-
-    def test_cli_kernel_flag_reaches_profile(self, tmp_path, capsys):
-        from repro.cli import main
-        from repro.logs.codec import write_log_file
-
-        path = tmp_path / "log.tsv"
-        write_log_file(
-            EventLog.from_sequences(["SABZ", "SBAZ", "SAZ"]), path
-        )
-        assert (
-            main(["mine", str(path), "--kernel", "pure", "--profile"])
-            == 0
-        )
-        err = capsys.readouterr().err
-        assert "kernel: pure" in err
 
 
 # ---------------------------------------------------------------------------
@@ -335,18 +206,6 @@ def test_slotted_batch_matches_scalar_reduction(case):
         )
     assert slotted_reduce_union(ctx, masks) == expected
     assert scalar_reduce_union(ctx, masks) == expected
-
-
-@needs_numpy
-@given(packed_dags())
-@settings(max_examples=40, deadline=None)
-def test_numpy_batch_matches_slotted(case):
-    n, edges, rank, masks = case
-    ctx = ReduceContext.from_edges(edges, n, rank)
-    numpy_kernel = get_kernel("numpy")
-    assert numpy_kernel.bulk_reduce_union(
-        ctx, masks
-    ) == slotted_reduce_union(ctx, masks)
 
 
 @given(packed_dags())
@@ -386,14 +245,13 @@ def test_kernel_state_counts_exact_hits_across_calls():
     edges = {0 * n + 1, 1 * n + 2, 2 * n + 3, 0 * n + 3}
     rank = {u: u for u in range(n)}
     ctx = ReduceContext.from_edges(edges, n, rank)
-    kernel = BitsetKernel()
     state = KernelState().for_edges(edges, n)
     first = ReduceStats()
-    kernel.reduce_masks(ctx, [0b1111, 0b0111], state, first)
+    reduce_masks(ctx, [0b1111, 0b0111], state, first)
     assert first.exact_hits == 0
     assert first.misses == 2
     again = ReduceStats()
-    marked = kernel.reduce_masks(ctx, [0b1111, 0b0111], state, again)
+    marked = reduce_masks(ctx, [0b1111, 0b0111], state, again)
     assert again.exact_hits == 2
     assert again.misses == 0
     assert marked == {0 * n + 1, 1 * n + 2, 2 * n + 3}
@@ -578,12 +436,12 @@ def test_closure_bitset_matches_closure_graph(seed):
 
 
 # ---------------------------------------------------------------------------
-# Lazy trace counters and mask packing
+# Lazy trace counters
 # ---------------------------------------------------------------------------
 def test_lazy_pair_counts_match_eager_reference():
     log = EventLog.from_sequences(["SABZ", "SBAZ", "SACZ", "SABZ"])
     lazy_trace, ref_trace = MiningTrace(), MiningTrace()
-    mine_general_dag(log, trace=lazy_trace, kernel="bitset")
+    mine_general_dag(log, trace=lazy_trace)
     mine_general_dag_reference(log, trace=ref_trace)
     assert lazy_trace._pair_counts is None  # still deferred
     assert lazy_trace.pair_counts == ref_trace.pair_counts
@@ -596,29 +454,5 @@ def test_publish_does_not_materialize_pair_counts():
 
     log = EventLog.from_sequences(["SABZ", "SBAZ", "SACZ"])
     trace = MiningTrace(recorder=ObsRecorder())
-    mine_general_dag(log, trace=trace, kernel="bitset")
+    mine_general_dag(log, trace=trace)
     assert trace._pair_counts is None
-
-
-def test_pack_masks_roundtrip():
-    masks = [0, 1, (1 << 70) | 5, 2**128 - 1]
-    blob = pack_masks(masks, 17)
-    assert unpack_masks(blob, 17) == masks
-    with pytest.raises(ValueError):
-        unpack_masks(b"\x00" * 5, 2)
-
-
-def test_parallel_mask_fanout_matches_serial():
-    rng = random.Random(7)
-    sequences = []
-    for _ in range(300):
-        chosen = [c for c in "ABCDEFG" if rng.random() < 0.7]
-        sequences.append(["S", *chosen, "Z"])
-    log = EventLog.from_sequences(sequences)
-    serial = mine_general_dag(log, jobs=1, kernel="bitset")
-    fanned = mine_general_dag(log, jobs=2, kernel="bitset")
-    ref = mine_general_dag_reference(log)
-    assert serial.edge_set() == fanned.edge_set() == ref.edge_set()
-    assert (
-        set(serial.nodes()) == set(fanned.nodes()) == set(ref.nodes())
-    )

@@ -17,12 +17,7 @@ from hypothesis import strategies as st
 
 from repro.core.cyclic import merge_instances, mine_cyclic
 from repro.core.general_dag import mine_general_dag
-from repro.core.state import (
-    MiningState,
-    fold_executions,
-    load_state,
-    save_state,
-)
+from repro.core.state import MiningState, load_state, save_state
 from repro.logs.event_log import EventLog
 from repro.logs.execution import Execution
 
@@ -117,15 +112,6 @@ class TestFoldMatchesBatch:
                 EventLog(executions_from(self.SEQUENCES + ["AF"]))
             ),
         )
-
-    def test_fold_executions_parallel_matches_serial(self):
-        sequences = self.SEQUENCES * 7
-        serial = fold_executions(iter(executions_from(sequences)))
-        parallel = fold_executions(
-            iter(executions_from(sequences)), jobs=3, chunk_size=5
-        )
-        assert serial.to_payload() == parallel.to_payload()
-        assert graphs_equal(serial.finish(), parallel.finish())
 
     @given(acyclic_sequences())
     def test_fold_equals_batch_on_random_logs(self, sequences):

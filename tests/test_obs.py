@@ -229,7 +229,7 @@ def _sample_manifest():
         "repro_mine_edges_dropped_total", 2, labels={"cause": "threshold"}
     )
     recorder.gauge("repro_mine_edges", 24, labels={"stage": "step6"})
-    recorder.observe("repro_parallel_chunk_seconds", 0.002)
+    recorder.observe("repro_service_snapshot_seconds", 0.002)
     return RunManifest.collect(
         recorder, command="mine", config={"threshold": 0}
     )

@@ -13,7 +13,6 @@ from repro.core.conditions import ConditionsMiner
 from repro.core.general_dag import MiningTrace, mine_general_dag
 from repro.core.incremental import IncrementalMiner
 from repro.core.miner import ALGORITHM_GENERAL, ProcessMiner
-from repro.core.parallel import process_map_timed, split_chunks
 from repro.core.special_dag import mine_special_dag
 from repro.datasets.examples import example6_log, example7_log
 from repro.engine.simulator import SimulationConfig, WorkflowSimulator
@@ -109,34 +108,6 @@ class TestMinerInstrumentation:
         with_obs = ProcessMiner(recorder=ObsRecorder()).mine(log)
         without = ProcessMiner().mine(log)
         assert with_obs.graph.edge_set() == without.graph.edge_set()
-
-
-class TestParallelMergeDeterminism:
-    def test_process_map_timed_records_chunk_metrics(self):
-        recorder = ObsRecorder()
-        chunks = split_chunks(list(range(20)), 4)
-        results = process_map_timed(
-            sorted, chunks, jobs=1, recorder=recorder, stage="step5"
-        )
-        assert [item for block in results for item in block] == list(
-            range(20)
-        )
-        total = recorder.registry.get(
-            "repro_parallel_chunks_total", {"stage": "step5"}
-        )
-        assert total.value == len(chunks)
-        hist = recorder.registry.get(
-            "repro_parallel_chunk_seconds", {"stage": "step5"}
-        )
-        assert hist.count == len(chunks)
-
-    def test_null_recorder_bypasses_timing(self):
-        results = process_map_timed(
-            sorted, split_chunks(list(range(6)), 2), jobs=1
-        )
-        assert [item for block in results for item in block] == list(
-            range(6)
-        )
 
 
 class TestIngestInstrumentation:

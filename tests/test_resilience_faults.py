@@ -3,7 +3,7 @@
 Determinism is the whole point — a seeded plan must describe the same
 fault, fire at the same hit, and damage the same bytes on every run,
 or the kill-and-resume suite could never assert byte-identical
-recovery.  Process-killing kinds (sigkill, worker-crash, torn-write's
+recovery.  Process-killing kinds (sigkill, torn-write's
 kill-after-partial) are exercised end to end by ``test_durability``;
 here they stay un-fired.
 """
@@ -146,11 +146,11 @@ class TestInjector:
 
     def test_fired_log_records_what_happened(self):
         injector = install(
-            FaultPlan(faults=(FaultSpec("fold.chunk", "io-error", at=1),))
+            FaultPlan(faults=(FaultSpec("fold.merge", "io-error", at=1),))
         )
         with pytest.raises(InjectedIOError):
-            maybe_fault("fold.chunk")
-        assert injector.fired == [("fold.chunk", "io-error", 1)]
+            maybe_fault("fold.merge")
+        assert injector.fired == [("fold.merge", "io-error", 1)]
 
 
 class TestEnvironmentLoading:

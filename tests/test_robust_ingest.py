@@ -548,7 +548,7 @@ class TestIngestFileHelpers:
 
 class TestDeadLetterDurability:
     """Crash-safety of the quarantine sink (append mode + torn-tail
-    tolerant reader) and the poisoned-chunk round trip."""
+    tolerant reader)."""
 
     def _item(self, reason, n=1):
         from repro.logs.ingest import QuarantinedItem
@@ -604,42 +604,3 @@ class TestDeadLetterDurability:
         path.write_bytes(b"\n".join(lines))
         with pytest.raises(LogFormatError):
             read_dead_letter(path)
-
-    def test_poisoned_chunk_round_trip(self, tmp_path):
-        from repro.logs.events import end_event, start_event
-        from repro.logs.execution import Execution
-        from repro.logs.ingest import (
-            REASON_POISONED_CHUNK,
-            read_dead_letter,
-        )
-
-        executions = [
-            Execution(
-                f"e{i}",
-                [
-                    start_event(f"e{i}", "A", 1.0),
-                    end_event(f"e{i}", "A", 2.0),
-                ],
-            )
-            for i in range(3)
-        ]
-        path = tmp_path / "dead.jsonl"
-        with Quarantine(path) as quarantine:
-            count = quarantine.add_poisoned_executions(
-                executions, "timeout"
-            )
-        assert count == 3
-        scan = read_dead_letter(path)
-        assert [item.reason for item in scan.items] == [
-            REASON_POISONED_CHUNK
-        ] * 3
-        assert [item.execution_id for item in scan.items] == [
-            "e0",
-            "e1",
-            "e2",
-        ]
-        # The payload is re-processable: activity and both events are
-        # preserved as JSON-ready record dicts.
-        first = scan.items[0]
-        assert first.kind == "execution" and first.detail == "timeout"
-        assert [r["activity"] for r in first.payload] == ["A", "A"]
