@@ -14,7 +14,10 @@ Flowmark datasets).
 
 Reading is streaming: :func:`iter_records` yields records one line at a
 time, so the 10,000-execution logs of Table 1 never need to be held as text
-in memory.
+in memory.  The ingest readers decode blocks of lines through
+:func:`parse_batch`, the codec's raw scanner for
+:class:`repro.logs.ingest.IngestStream`; a line it cannot accept goes
+through :func:`parse_record`, which gives the canonical error.
 """
 
 from __future__ import annotations
@@ -47,12 +50,14 @@ from repro.logs.ingest import (
     IngestReport,
     IngestResult,
     Quarantine,
+    RawFields,
     ingest_blocks,
     iter_ingest_blocks,
 )
 
-# (line_number, raw_line, process_name, record) tuples from parse_batch.
-ParsedBatch = List[Tuple[int, str, str, EventRecord]]
+# (line_number, raw_line, process_name, execution_id, fields) tuples
+# from parse_batch.
+ScannedBatch = List[Tuple[int, str, str, str, RawFields]]
 
 FIELD_SEPARATOR = "\t"
 OUTPUT_SEPARATOR = ","
@@ -135,34 +140,42 @@ def parse_record(line: str, line_number: Optional[int] = None) -> Tuple[
 
 
 def parse_batch(
-    lines: Sequence[str], start: int = 1
-) -> Tuple[ParsedBatch, Optional[LogFormatError]]:
-    """Parse a block of raw log lines in one pass.
+    lines: Sequence[str],
+    start: int = 1,
+    memo: Optional[dict] = None,
+) -> Tuple[ScannedBatch, Optional[Tuple[int, str]]]:
+    """Scan a block of raw log lines into raw field tuples.
 
-    The batched counterpart of :func:`parse_record`: ``lines[i]`` is
-    line number ``start + i``, blank lines and ``#`` comments are
-    skipped (the same filter the streaming reader applies), and field
-    validation is inlined so the per-line closure/exception overhead of
-    the one-record parser is paid only on malformed input.
+    The text codec's scanner for :class:`repro.logs.ingest.
+    IngestStream` (see :data:`repro.logs.ingest.BatchParser`):
+    ``lines[i]`` is line number ``start + i``, blank lines and ``#``
+    comments are skipped (the same filter the streaming reader
+    applies), and field validation is inlined so the per-line
+    closure/exception overhead of the one-record parser is paid only
+    on malformed input.  Each accepted line yields ``(line_number,
+    raw_line, process_name, execution_id, fields)``.
 
-    Returns ``(entries, error)`` where ``entries`` is a list of
-    ``(line_number, raw_line, process_name, record)`` tuples for every
-    well-formed line scanned, and ``error`` is ``None`` for a clean
-    block or the :class:`LogFormatError` (carrying the absolute line
-    number of the offending line) that stopped the scan.  Callers
-    resume after the reported line, so error positions match the
-    per-line reader exactly.
+    ``memo`` (caller-owned, or ``None``) maps a line with its execution
+    id field cut out to the validated ``(process_name, fields)``: the
+    id is the second field, so a line whose cut text equals a validated
+    line's differs from it only in the id.  Every parsed line adds one
+    entry.
+
+    A line the scan cannot accept stops it with ``(entries,
+    (line_number, raw_line))``; the caller routes that line through
+    :func:`parse_record`, so errors match the per-line reader exactly,
+    and resumes after it.
     """
-    entries: ParsedBatch = []
+    entries: ScannedBatch = []
     append = entries.append
+    memo_get = memo.get if memo is not None else None
     isfinite = math.isfinite
     intern = sys.intern
-    new_record = EventRecord.__new__
-    record_cls = EventRecord
     separator = FIELD_SEPARATOR
     times: dict = {}
     last_process_raw: Optional[str] = None
     last_process: str = ""
+    last_eid: Optional[str] = None
     number = start - 1
     for line in lines:
         number += 1
@@ -172,6 +185,20 @@ def parse_batch(
             stripped = line.strip()
             if not stripped or stripped[0] == "#":
                 continue
+        if memo_get is not None:
+            i = line.find(separator) + 1
+            if i:
+                j = line.find(separator, i)
+                if j > i:
+                    cached = memo_get(line[:i] + line[j:])
+                    if cached is not None:
+                        eid = line[i:j]
+                        if eid == last_eid:
+                            eid = last_eid
+                        else:
+                            last_eid = eid
+                        append((number, line, cached[0], eid, cached[1]))
+                        continue
         fields = line.rstrip("\n").split(separator)
         if len(fields) == 5:
             process_name, execution_id, activity, event_type, time_text = fields
@@ -183,54 +210,41 @@ def parse_batch(
             if fields[5]:
                 output = _slow_output(fields[5], number)
                 if output is None:
-                    return entries, _canonical_error(line, number)
+                    return entries, (number, line)
             else:
                 output = None
         else:
-            return entries, _canonical_error(line, number)
+            return entries, (number, line)
         timestamp = times.get(time_text)
         if timestamp is None:
             try:
                 timestamp = float(time_text)
             except ValueError:
-                return entries, _canonical_error(line, number)
+                return entries, (number, line)
             if not isfinite(timestamp):
-                return entries, _canonical_error(line, number)
+                return entries, (number, line)
             times[time_text] = timestamp
         if event_type == "END":
             event_type = END_EVENT
         elif event_type == "START" and output is None:
             event_type = START_EVENT
         else:
-            return entries, _canonical_error(line, number)
+            return entries, (number, line)
         if not (activity and execution_id):
-            return entries, _canonical_error(line, number)
+            return entries, (number, line)
         if process_name != last_process_raw:
             last_process_raw = process_name
             last_process = intern(process_name)
-        record = new_record(record_cls)
-        # Frozen dataclass: populate the instance dict directly (item
-        # stores beat both __init__ and __dict__.update measurably).
-        attrs = record.__dict__
-        attrs["timestamp"] = timestamp
-        attrs["execution_id"] = execution_id
-        attrs["activity"] = intern(activity)
-        attrs["event_type"] = event_type
-        attrs["output"] = output
-        append((number, line, last_process, record))
+        raw = (timestamp, intern(activity), event_type, output)
+        if memo is not None:
+            cut = len(process_name) + 1
+            memo[line[:cut] + line[cut + len(execution_id):]] = (
+                last_process,
+                raw,
+            )
+            last_eid = execution_id
+        append((number, line, last_process, execution_id, raw))
     return entries, None
-
-
-def _canonical_error(line: str, line_number: int) -> LogFormatError:
-    # Re-parse a line the fast scanner rejected through the one-record
-    # parser so batch errors are byte-identical to per-line errors.
-    try:
-        parse_record(line, line_number)
-    except LogFormatError as exc:
-        return exc
-    raise AssertionError(
-        f"batch scanner rejected line {line_number} that parse_record accepts"
-    )
 
 
 def _slow_output(
@@ -238,7 +252,7 @@ def _slow_output(
 ) -> Optional[Tuple[float, ...]]:
     # Output vectors are rare (END records with logged parameters);
     # parse them through the same checks as parse_record and signal
-    # failure with None so the caller re-raises canonically.
+    # failure with None so the caller stops the scan there.
     try:
         output = tuple(float(v) for v in text.split(OUTPUT_SEPARATOR))
     except ValueError:
@@ -287,15 +301,6 @@ def iter_records(
         if not stripped or stripped.startswith("#"):
             continue
         yield parse_record(line, line_number)
-
-
-def _numbered_lines(stream: IO[str]) -> Iterator[Tuple[int, str]]:
-    # The codec's line filter: blank lines and ``#`` comments skipped.
-    for line_number, line in enumerate(stream, start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        yield line_number, line
 
 
 def ingest_log(

@@ -82,36 +82,6 @@ class EventRecord:
         )
 
 
-def record_unchecked(
-    timestamp: float,
-    execution_id: str,
-    activity: str,
-    event_type: str,
-    output: Optional[Tuple[float, ...]],
-) -> EventRecord:
-    """Build an :class:`EventRecord` without constructor validation.
-
-    Batch decoders (``parse_batch`` in the codecs) validate fields while
-    scanning a block and then call this to skip the frozen-dataclass
-    ``__init__``/``__post_init__`` machinery, which dominates per-record
-    decode cost.  Callers MUST have established the ``__post_init__``
-    invariants: ``event_type`` in ``{START, END}``, non-empty
-    ``activity``/``execution_id``, and ``output is None`` for START.
-    """
-    record = _NEW_RECORD(EventRecord)
-    record.__dict__.update(
-        timestamp=timestamp,
-        execution_id=execution_id,
-        activity=activity,
-        event_type=event_type,
-        output=output,
-    )
-    return record
-
-
-_NEW_RECORD = EventRecord.__new__
-
-
 def start_event(
     execution_id: str, activity: str, timestamp: float
 ) -> EventRecord:

@@ -21,9 +21,16 @@ the shared machinery both codecs thread their line streams through:
   :class:`~repro.errors.ResourceLimitError` *before* an adversarial or
   runaway log exhausts memory.
 
-The driver, :func:`ingest_lines`, is codec-agnostic: it consumes
-``(line_number, raw_line)`` pairs plus the codec's line parser, so the
-tab-separated and JSON-lines formats get identical semantics.
+The engine, :class:`IngestStream`, is codec-agnostic, so the
+tab-separated and JSON-lines formats get identical semantics.  It has
+one per-line reference, :meth:`IngestStream.push` (driven by
+:func:`ingest_lines`/:func:`iter_ingest_lines` over a codec's line
+parser), and one block engine, :meth:`IngestStream.push_batch`: the
+codec's ``parse_batch`` scanner decodes a block into raw field tuples
+and one bookkeeping loop files them into execution buckets.  Batch
+``mine`` (:func:`ingest_blocks`), ``mine --stream``
+(:class:`repro.logs.fastfold.FoldingIngestStream`) and the daemon's
+tenants all run that block engine.
 """
 
 from __future__ import annotations
@@ -325,14 +332,28 @@ class IngestResult(NamedTuple):
 
 LineParser = Callable[[str, int], Tuple[str, EventRecord]]
 
-#: A codec's block scanner: ``parse_batch(lines, start)`` returning
-#: ``(entries, error)`` where each entry is ``(line_number, raw_line,
-#: process_name, record)`` and ``error`` is ``None`` or the
-#: :class:`LogFormatError` that stopped the scan (its ``line_number``
-#: tells the caller where to resume).
+#: One record's codec-independent identity: ``(timestamp, activity,
+#: event type, output)`` — everything but the process and execution id.
+RawFields = Tuple[float, str, str, Optional[Tuple[float, ...]]]
+
+#: A codec's block scanner: ``parse_batch(lines, start, memo)``
+#: returning ``(entries, bad)``.  ``lines[i]`` is line number
+#: ``start + i``; each entry is ``(line_number, raw_line, process_name,
+#: execution_id, fields)`` with ``fields`` a :data:`RawFields` tuple;
+#: ``bad`` is ``None`` for a fully scanned block or the ``(line_number,
+#: raw_line)`` the scanner could not accept, which the caller routes
+#: through :meth:`IngestStream.push` (for the canonical error, or to
+#: accept what the line parser does) before resuming after it.
+#: ``memo`` is ``None`` or the stream's line memo: a dict from line
+#: text with the execution id cut out to ``(process_name, fields)``,
+#: to which the scanner adds exactly one entry per line it could not
+#: answer from it.
 BatchParser = Callable[
-    [Sequence[str], int],
-    Tuple[List[Tuple[int, str, str, EventRecord]], Optional[LogFormatError]],
+    [Sequence[str], int, Optional[dict]],
+    Tuple[
+        List[Tuple[int, str, str, str, RawFields]],
+        Optional[Tuple[int, str]],
+    ],
 ]
 
 #: Lines per block fed through :meth:`IngestStream.push_batch` by the
@@ -340,34 +361,45 @@ BatchParser = Callable[
 #: enough that a block of worst-case lines stays in cache.
 INGEST_BLOCK_LINES = 4096
 
+#: The line memo stays on while it answers at least this share of a
+#: block's scanned lines; below it the memo is cleared (freeing its
+#: memory) and blocks scan memo-free.
+LINE_MEMO_MIN_HIT_RATIO = 0.5
 
-def _generic_batch_parser(parse_line: LineParser) -> BatchParser:
-    """Wrap a one-line parser into the block-scanner protocol.
+#: While the line memo is off, one block in this many retries it, so a
+#: log that turns repetitive later wins it back.
+LINE_MEMO_RETRY_EVERY = 16
 
-    The fallback when a codec supplies no ``parse_batch``: blank lines
-    are skipped (callers feeding comment-bearing formats must pass the
-    codec's own scanner, which knows its filter), everything else goes
-    through ``parse_line`` one at a time.
+#: Hard bound on line-memo entries.  Keys are whole id-excised lines
+#: (~100 bytes plus the shared field tuple), so the cap bounds a
+#: mostly-but-not-quite repetitive stream at a few tens of MB.
+LINE_MEMO_CAP = 65536
+
+
+def _materialize(eid: str, items: Sequence) -> List[EventRecord]:
+    """Rebuild a bucket's records; field tuples become EventRecords.
+
+    Buckets may mix raw field tuples (scanner-fed) with EventRecords
+    (per-line ``push``-fed); finalization, repair and quarantine all
+    want real records, built here only when a bucket finalizes.
     """
-
-    def parse(lines: Sequence[str], start: int = 1):
-        entries: List[Tuple[int, str, str, EventRecord]] = []
-        append = entries.append
-        number = start - 1
-        for line in lines:
-            number += 1
-            if not line.strip():
-                continue
-            try:
-                name, record = parse_line(line, number)
-            except LogFormatError as exc:
-                if exc.line_number is None:
-                    exc.line_number = number
-                return entries, exc
-            append((number, line, name, record))
-        return entries, None
-
-    return parse
+    new = EventRecord.__new__
+    cls = EventRecord
+    records: List[EventRecord] = []
+    append = records.append
+    for item in items:
+        if type(item) is tuple:
+            record = new(cls)
+            attrs = record.__dict__
+            attrs["timestamp"] = item[0]
+            attrs["execution_id"] = eid
+            attrs["activity"] = item[1]
+            attrs["event_type"] = item[2]
+            attrs["output"] = item[3]
+            append(record)
+        else:
+            append(item)
+    return records
 
 
 def _record_payload(records: Iterable[EventRecord]) -> List[dict]:
@@ -564,6 +596,15 @@ class IngestStream:
     end-of-log semantics (buckets close without joining the late set,
     matching the generators' final loop).
 
+    ``push_batch`` feeds a block of lines through the one block engine:
+    the codec's ``parse_batch`` scanner decodes the block into raw field
+    tuples (with the line memo answering byte-repeated lines), and one
+    bookkeeping loop files them into buckets.  Records are built only
+    when a bucket finalizes.  Without a scanner the block is pushed one
+    line at a time.  ``line_memo_hits``/``line_memo_misses`` count the
+    scanned lines the line memo answered or had to parse while it was
+    on.
+
     Exceptions out of ``push`` under ``strict`` leave the stream usable:
     guards raise before any mutation, and a malformed-execution error
     surfaces after its bucket was already removed.
@@ -586,17 +627,11 @@ class IngestStream:
         if window is not None and window < 1:
             raise ValueError("window must be >= 1 or None")
         self._parse_line = parse_line
-        # ``parse_batch`` opts the stream into the fast path: the
-        # codec's block scanner feeds ``push_batch``, and buckets
-        # finalize through the fast Execution builder.  Without it the
-        # stream behaves exactly as before PR 10 — the per-record
-        # engine is also the benchmark reference, so it stays pristine.
-        self._parse_batch = (
-            parse_batch
-            if parse_batch is not None
-            else _generic_batch_parser(parse_line)
-        )
-        self._fast_finalize = parse_batch is not None
+        # ``parse_batch`` opts the stream into the block engine, and
+        # buckets finalize through the fast Execution builder.  Without
+        # it the stream is the per-record engine, which is also the
+        # benchmark reference, so it stays pristine.
+        self._parse_batch = parse_batch
         self.policy = policy
         self.limits = limits if limits is not None else IngestLimits()
         self.quarantine = (
@@ -609,12 +644,18 @@ class IngestStream:
         # kept in last-touched order (pop + reinsert on every record) so
         # the least-recently-touched bucket is always first; ``_touch``
         # maps each open eid to the accepted-record index that last
-        # extended it.
-        self._grouped: Dict[str, List[EventRecord]] = {}
+        # extended it.  Buckets hold raw field tuples (scanner-fed) and
+        # EventRecords (``push``-fed).
+        self._grouped: Dict[str, list] = {}
         self._touch: Dict[str, int] = {}
         self._finalized: Set[str] = set()
         self._activities: Set[str] = set()
         self._record_index = 0
+        self._line_memo: dict = {}
+        # Blocks left to scan memo-free before the line memo is retried.
+        self._line_memo_idle = 0
+        self.line_memo_hits = 0
+        self.line_memo_misses = 0
 
     @property
     def open_executions(self) -> int:
@@ -752,20 +793,31 @@ class IngestStream:
             self._emit(oldest, records, out)
         return out
 
-    def _emit(
-        self, eid: str, records: List[EventRecord], out: List[Execution]
-    ) -> None:
+    def _emit(self, eid: str, items: list, out: List[Execution]) -> None:
         """Finalize one bucket, appending the accepted execution."""
-        finalize = (
-            _finalize_execution_fast
-            if self._fast_finalize
-            else _finalize_execution
-        )
-        execution = finalize(
-            eid, records, self.policy, self.quarantine, self.report
-        )
+        if self._parse_batch is None:
+            execution = _finalize_execution(
+                eid, items, self.policy, self.quarantine, self.report
+            )
+        else:
+            execution = _finalize_execution_fast(
+                eid,
+                _materialize(eid, items),
+                self.policy,
+                self.quarantine,
+                self.report,
+            )
         if execution is not None:
             out.append(execution)
+
+    def _commit(self, out: List[Execution]) -> None:
+        """Hook: the executions ``_emit`` put on ``out`` are final.
+
+        Called where per-line ingestion hands its caller the finalized
+        list: after each record's window drain in a block and at the
+        end of ``flush``/``close``.  The plain stream leaves them on
+        ``out`` for its caller.
+        """
 
     def push_batch(
         self,
@@ -776,13 +828,13 @@ class IngestStream:
         """Feed a block of raw lines; return executions it finalized.
 
         ``lines[i]`` is line number ``start + i``.  The block is decoded
-        through the codec's ``parse_batch`` scanner (or a generic
-        per-line fallback) and the bookkeeping loop runs with its
-        lookups bound to locals, so policy dispatch and window
-        accounting amortize per block.  Malformed lines re-enter
-        :meth:`push` individually, which makes every error, quarantine
-        entry and report field byte-identical to pushing the same lines
-        one at a time.
+        through the codec's ``parse_batch`` scanner and the bookkeeping
+        loop runs with its lookups bound to locals, so policy dispatch
+        and window accounting amortize per block.  Lines the scanner
+        cannot accept re-enter :meth:`push` individually, which makes
+        every error, quarantine entry and report field byte-identical
+        to pushing the same lines one at a time.  Blank lines are
+        skipped, as the readers skip them.
 
         When the caller passes ``out``, finalized executions are
         appended there *as they finalize* — so a strict-policy error
@@ -798,32 +850,71 @@ class IngestStream:
     def _push_block(
         self, start: int, lines: Sequence[str], out: List[Execution]
     ) -> None:
-        # push_batch's body; subclasses with another decoder override
-        # this, so push_batch stays every stream's one block entry.
-        parse_batch = self._parse_batch
+        scan = self._parse_batch
+        if scan is None:
+            for number, line in enumerate(lines, start):
+                if line.strip():
+                    out.extend(self.push(number, line))
+            return
+        # Real logs carry absolute timestamps, so their lines rarely
+        # repeat: each block measures what share of its lines the memo
+        # answered and, below LINE_MEMO_MIN_HIT_RATIO, clears it and
+        # scans memo-free, retrying it on one block in
+        # LINE_MEMO_RETRY_EVERY.
+        memo: Optional[dict] = None
+        if self._line_memo_idle:
+            self._line_memo_idle -= 1
+        else:
+            memo = self._line_memo
+            if len(memo) + len(lines) > LINE_MEMO_CAP:
+                memo.clear()
+        # A block that starts on an empty memo is its warm-up: every
+        # first sighting misses, so it is not judged.
+        warm = bool(memo)
+        scanned = misses = 0
         total = len(lines)
         index = 0
         while index < total:
-            entries, error = parse_batch(
-                lines[index:] if index else lines, start + index
+            before = len(memo) if memo is not None else 0
+            entries, bad = scan(
+                lines[index:] if index else lines, start + index, memo
             )
+            scanned += len(entries)
+            if memo is not None:
+                # Every line the memo could not answer was parsed and
+                # added one entry.
+                misses += len(memo) - before
             if entries:
-                self._ingest_entries(entries, out)
-            if error is None:
+                self._push_entries(entries, out)
+            if bad is None:
                 break
-            bad = error.line_number - start
-            out.extend(self.push(error.line_number, lines[bad]))
-            index = bad + 1
+            number, line = bad
+            # The line parser decides: identical acceptance, errors and
+            # quarantine entries.
+            out.extend(self.push(number, line))
+            index = number - start + 1
+        if memo is not None and scanned:
+            self.line_memo_hits += scanned - misses
+            self.line_memo_misses += misses
+            if warm and (
+                scanned - misses < LINE_MEMO_MIN_HIT_RATIO * scanned
+            ):
+                memo.clear()
+                self._line_memo_idle = LINE_MEMO_RETRY_EVERY - 1
 
-    def _ingest_entries(
+    def _push_entries(
         self,
-        entries: List[Tuple[int, str, str, EventRecord]],
+        entries: List[Tuple[int, str, str, str, RawFields]],
         out: List[Execution],
     ) -> None:
-        # The push() bookkeeping loop, inlined over a parsed block with
-        # every per-record attribute lookup bound to a local.  Any
-        # change here must mirror push() — the hypothesis parity suite
+        # The push() bookkeeping loop over a scanned block, with every
+        # per-record attribute lookup bound to a local.  Any change here
+        # must mirror push() — the hypothesis parity suite
         # (tests/test_ingest_fastpath.py) holds the two paths equal.
+        # The only shortcut is ``cur_eid``: for a run of records of the
+        # same open execution the bucket lookup, finalized-set probe
+        # and recency move are per-run (their outcomes cannot change
+        # mid-run: a just-touched bucket is never expired).
         report = self.report
         limits = self.limits
         window = self.window
@@ -832,6 +923,7 @@ class IngestStream:
         finalized = self._finalized
         activities = self._activities
         get_bucket = grouped.get
+        emit = self._emit
         strict = self.policy == POLICY_STRICT
         max_executions = limits.max_executions
         max_events = limits.max_events_per_execution
@@ -840,12 +932,20 @@ class IngestStream:
         record_index = self._record_index
         # Track the recency ends in locals: ``newest`` is the bucket at
         # the recency end (last inserted/moved), ``oldest`` the one the
-        # expiry check probes.  Saves a next(iter())/next(reversed())
-        # pair per record; both are plain derived views of ``grouped``.
+        # expiry check probes; both are plain derived views of
+        # ``grouped``.
         newest = next(reversed(grouped)) if grouped else None
         oldest = next(iter(grouped)) if grouped else None
+        cur_eid: Optional[str] = None
+        bucket: Optional[list] = None
+        # Conservative drain guard: ``expire_at`` never exceeds the
+        # true ``touch[oldest] + window`` (touch values only grow and
+        # grouped is kept in touch order, so the real threshold is
+        # non-decreasing), which turns the per-record drain check into
+        # one integer compare; crossing it recomputes exactly.
+        expire_at = 0 if window is not None else float("inf")
         try:
-            for line_number, raw_line, name, record in entries:
+            for line_number, raw_line, name, eid, fields in entries:
                 if name != process_name:
                     if process_name is None:
                         report.process_name = process_name = name
@@ -859,59 +959,66 @@ class IngestStream:
                         self._quarantine_line(
                             REASON_MIXED_PROCESS,
                             (
-                                f"record of process {name!r} in a log of "
-                                f"{process_name!r}"
+                                f"record of process {name!r} in a log "
+                                f"of {process_name!r}"
                             ),
                             line_number,
                             raw_line,
                         )
                         continue
-                eid = record.execution_id
-                bucket = get_bucket(eid)
-                if bucket is None:
-                    if eid in finalized:
-                        if strict:
-                            raise LogFormatError(
-                                f"record for execution {eid!r} arrived "
-                                f"after its finalization window closed; "
-                                f"raise --stream-window or sort the log "
-                                f"by execution",
+                if eid != cur_eid:
+                    bucket = get_bucket(eid)
+                    if bucket is None:
+                        if eid in finalized:
+                            if strict:
+                                raise LogFormatError(
+                                    f"record for execution {eid!r} "
+                                    f"arrived after its finalization "
+                                    f"window closed; raise "
+                                    f"--stream-window or sort the log "
+                                    f"by execution",
+                                    line_number,
+                                )
+                            self._quarantine_line(
+                                REASON_LATE_RECORD,
+                                (
+                                    f"execution {eid!r} already "
+                                    f"finalized; record arrived more "
+                                    f"than {window} records late"
+                                ),
                                 line_number,
+                                raw_line,
+                                execution_id=eid,
                             )
-                        self._quarantine_line(
-                            REASON_LATE_RECORD,
-                            (
-                                f"execution {eid!r} already finalized; "
-                                f"record arrived more than {window} "
-                                f"records late"
-                            ),
-                            line_number,
-                            raw_line,
-                            execution_id=eid,
-                        )
-                        continue
-                    if (
-                        max_executions is not None
-                        and len(grouped) + len(finalized) >= max_executions
-                    ):
-                        raise ResourceLimitError(
-                            "max_executions",
-                            max_executions,
-                            f"execution {eid!r} at line {line_number}",
-                            line_number=line_number,
-                        )
-                    bucket = grouped[eid] = []
-                    newest = eid
-                    if oldest is None:
-                        oldest = eid
-                elif window is not None and newest != eid:
-                    # Move to the recency end so the front stays oldest;
-                    # skipped when already freshest (contiguous logs).
-                    grouped.pop(eid)
-                    grouped[eid] = bucket
-                    newest = eid
-                    if oldest == eid:
-                        oldest = next(iter(grouped))
+                            # ``bucket`` no longer belongs to the run's
+                            # execution: the next record must look up.
+                            cur_eid = None
+                            continue
+                        if (
+                            max_executions is not None
+                            and len(grouped) + len(finalized)
+                            >= max_executions
+                        ):
+                            raise ResourceLimitError(
+                                "max_executions",
+                                max_executions,
+                                f"execution {eid!r} at line "
+                                f"{line_number}",
+                                line_number=line_number,
+                            )
+                        bucket = grouped[eid] = []
+                        newest = eid
+                        if oldest is None:
+                            oldest = eid
+                    elif window is not None and newest != eid:
+                        # Move to the recency end so the front stays
+                        # oldest; skipped when already freshest.
+                        grouped.pop(eid)
+                        grouped[eid] = bucket
+                        newest = eid
+                        if oldest == eid:
+                            oldest = next(iter(grouped))
+                    cur_eid = eid
                 if max_events is not None and len(bucket) >= max_events:
                     raise ResourceLimitError(
                         "max_events_per_execution",
@@ -919,7 +1026,7 @@ class IngestStream:
                         f"execution {eid!r} at line {line_number}",
                         line_number=line_number,
                     )
-                activity = record.activity
+                activity = fields[1]
                 if activity not in activities:
                     if (
                         max_activities is not None
@@ -928,15 +1035,18 @@ class IngestStream:
                         raise ResourceLimitError(
                             "max_activities",
                             max_activities,
-                            f"activity {activity!r} at line {line_number}",
+                            f"activity {activity!r} at line "
+                            f"{line_number}",
                             line_number=line_number,
                         )
                     activities.add(activity)
-                bucket.append(record)
+                bucket.append(fields)
                 record_index += 1
                 touch[eid] = record_index
-                if window is None:
+                if record_index < expire_at:
                     continue
+                # One record's drain pass is one commit scope, as one
+                # per-line push() is.
                 while (
                     oldest is not None
                     and record_index - touch[oldest] >= window
@@ -944,10 +1054,16 @@ class IngestStream:
                     records = grouped.pop(oldest)
                     del touch[oldest]
                     finalized.add(oldest)
-                    self._emit(oldest, records, out)
+                    emit(oldest, records, out)
                     oldest = next(iter(grouped)) if grouped else None
                     if oldest is None:
                         newest = None
+                self._commit(out)
+                expire_at = (
+                    touch[oldest] + window
+                    if oldest is not None
+                    else record_index + window
+                )
         finally:
             self._record_index = record_index
 
@@ -964,6 +1080,7 @@ class IngestStream:
             self._touch.pop(eid, None)
             self._finalized.add(eid)
             self._emit(eid, records, out)
+        self._commit(out)
         return out
 
     def close(self) -> List[Execution]:
@@ -974,6 +1091,7 @@ class IngestStream:
         out: List[Execution] = []
         for eid in list(self._grouped):
             self._emit(eid, self._grouped.pop(eid), out)
+        self._commit(out)
         return out
 
 
@@ -1048,10 +1166,12 @@ def iter_ingest_blocks(
     contiguous, so line numbers fall out of block offsets), feeds them
     through :meth:`IngestStream.push_batch` in ``INGEST_BLOCK_LINES``
     chunks, and journals accepted executions exactly as the per-line
-    driver does.  Semantics — policies, limits, windowing, quarantine,
-    report accounting, journal sequence numbers — are byte-identical to
-    :func:`iter_ingest_lines` over the same lines; only the per-record
-    dispatch overhead is amortized.
+    driver does.  ``parse_batch`` is the codec's block scanner; without
+    one every non-blank line goes through ``parse_line``.  Semantics —
+    policies, limits, windowing, quarantine, report accounting, journal
+    sequence numbers — are byte-identical to :func:`iter_ingest_lines`
+    over the same lines; only the per-record dispatch overhead is
+    amortized.
     """
     if journal_skip < 0:
         raise ValueError("journal_skip must be >= 0")

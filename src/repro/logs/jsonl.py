@@ -11,6 +11,12 @@ lines for interchange with modern tooling — one object per line::
 START events carry ``"output": null``.  Field names are fixed; unknown
 fields are ignored on read so sidecar metadata survives round-trips
 through other tools.
+
+:func:`parse_batch` is the codec's one block scanner, shared by batch
+ingest, the fused ``mine --stream`` fold and the daemon: the shape
+:func:`record_to_json` writes decodes by one regex match, any other
+valid line through the JSON decoder, and only lines
+:func:`record_from_json` must judge (errors, coercions) leave the scan.
 """
 
 from __future__ import annotations
@@ -48,6 +54,7 @@ from repro.logs.ingest import (
     IngestReport,
     IngestResult,
     Quarantine,
+    RawFields,
     ingest_blocks,
     iter_ingest_blocks,
 )
@@ -163,18 +170,76 @@ _CANONICAL_LINE = re.compile(
 #: id token.  This pattern is that final check.
 _EID_TOKEN = re.compile(r'[^"\\\x00-\x1f]+\Z')
 
-#: The key whose value :func:`scan_batch` excises.  Its quotes cannot
+#: The key whose value :func:`parse_batch` excises.  Its quotes cannot
 #: appear inside any canonical string value, so its first occurrence in
 #: a canonical line is exactly the grammar position.
 _EID_PREFIX = '"execution": "'
 _EID_PREFIX_LEN = len(_EID_PREFIX)
 
-#: One record's codec-independent identity: ``(timestamp, activity,
-#: event type, output)`` — everything but the execution id.
-RawFields = Tuple[float, str, str, Optional[Tuple[float, ...]]]
+
+#: ``_raw_decode(line)`` decodes the JSON value at the start of
+#: ``line`` and returns it with its end, without the two whitespace
+#: regex passes of :func:`json.loads`.  A line it decodes with nothing
+#: but JSON whitespace after the value is one ``json.loads`` decodes
+#: to the same value.
+_raw_decode = json.JSONDecoder().raw_decode
+_JSON_SPACE = " \t\n\r"
 
 
-def scan_batch(
+def _loads_fields(
+    line: str,
+) -> Optional[Tuple[str, str, RawFields]]:
+    """``(process, execution_id, fields)`` of a valid non-canonical line.
+
+    The JSON-decoder tier of :func:`parse_batch`: any key order,
+    escapes and sidecar fields decode here.  Returns ``None`` for
+    anything :func:`record_from_json` must judge — a bad line, or one
+    it accepts only by coercion (non-string names).
+    """
+    try:
+        payload, end = _raw_decode(line)
+        if end != len(line) and line[end:].strip(_JSON_SPACE):
+            return None
+        process = payload["process"]
+        execution_id = payload["execution"]
+        activity = payload["activity"]
+        event_type = payload["type"]
+        timestamp = payload["time"]
+        output = payload.get("output")
+    except (KeyError, TypeError, ValueError):
+        return None
+    if not (
+        type(process) is str
+        and type(execution_id) is str
+        and execution_id
+        and type(activity) is str
+        and activity
+        and type(timestamp) in (int, float)
+        and math.isfinite(timestamp)
+    ):
+        return None
+    if event_type == "END":
+        if output is not None:
+            if type(output) is not list:
+                return None
+            values = []
+            for value in output:
+                if type(value) not in (int, float) or not math.isfinite(
+                    value
+                ):
+                    return None
+                values.append(float(value))
+            output = tuple(values)
+        kind = END_EVENT
+    elif event_type == "START" and output is None:
+        kind = START_EVENT
+    else:
+        return None
+    fields = (float(timestamp), sys.intern(activity), kind, output)
+    return sys.intern(process), execution_id, fields
+
+
+def parse_batch(
     lines: Sequence[str],
     start: int = 1,
     memo: Optional[dict] = None,
@@ -182,32 +247,33 @@ def scan_batch(
     List[Tuple[int, str, str, str, RawFields]],
     Optional[Tuple[int, str]],
 ]:
-    """Scan canonical JSON lines into raw field tuples.
+    """Scan a block of JSON lines into raw field tuples.
 
-    The zero-object decode path behind :class:`repro.logs.fastfold.
-    FoldingIngestStream`: each scanned line yields ``(line_number,
-    raw_line, process, execution_id, fields)`` where ``fields`` is the
-    shared :data:`RawFields` tuple — no :class:`EventRecord` is built.
+    The JSON-lines scanner of :class:`repro.logs.ingest.IngestStream`
+    (see :data:`repro.logs.ingest.BatchParser`): ``lines[i]`` is line
+    number ``start + i``, blank lines are skipped (this codec has no
+    comments), and each accepted line yields ``(line_number, raw_line,
+    process, execution_id, fields)`` where ``fields`` is the shared
+    :data:`RawFields` tuple — no :class:`EventRecord` is built.
 
-    ``memo`` (caller-owned and caller-bounded) maps the line text with
-    the execution id excised to its validated ``(process, fields)``;
-    every parsed line adds one entry, so the entries it gained are the
-    lines it could not answer.  It pays only when whole lines repeat
-    under fresh execution ids — replayed or synthetic logs whose
-    executions share their timestamps.  Real logs carry absolute
-    timestamps, so nearly every line misses; the folding stream
-    measures the hit share and switches the memo off (``memo=None``:
-    a plain regex pass that slices and stores nothing) when it stops
-    paying.
+    Three tiers decode a line.  ``memo`` (caller-owned and
+    caller-bounded, or ``None``) maps the line text with the execution
+    id excised to its validated ``(process, fields)``; it answers
+    byte-repeated lines under fresh execution ids with two substring
+    finds and a dict hit.  A miss validates against the canonical
+    grammar of :func:`record_to_json` and, when the memo is on, stores
+    the line.  Anything else — foreign key order, escapes, sidecar
+    fields — decodes through :func:`json.loads`; such a line cannot be
+    answered from the memo (its execution id has no fixed place), so
+    it is recorded under its line number, which no lookup uses, and
+    the entry only counts the miss.
 
-    Only lines *proven* valid are returned: a memo hit proves it (the
-    excised text was validated before, and the id token is re-checked),
-    a miss validates against the canonical grammar.  Anything else —
-    malformed, non-canonical key order, escape sequences, non-finite
-    numbers — stops the scan with ``(entries, (line_number,
-    raw_line))`` so the caller can route that one line through the
-    per-line parser for byte-identical errors, then resume after it.
-    Blank lines are skipped, like :func:`parse_batch`.
+    Only lines *proven* valid are returned.  A line none of the tiers
+    accepts — malformed, non-finite numbers, a START with an output,
+    non-string names — stops the scan with ``(entries, (line_number,
+    raw_line))`` so the caller can route that one line through
+    :func:`record_from_json` for byte-identical errors and coercions,
+    then resume after it.
     """
     entries: List[Tuple[int, str, str, str, RawFields]] = []
     append = entries.append
@@ -245,7 +311,14 @@ def scan_batch(
         if m is None:
             if not line.strip():
                 continue
-            return entries, (number, line)
+            decoded = _loads_fields(line)
+            if decoded is None:
+                return entries, (number, line)
+            process, eid, fields = decoded
+            if memo is not None:
+                memo[number] = None
+            append((number, line, process, eid, fields))
+            continue
         activity, eid, output_src, process, time_src, event_type = (
             m.groups()
         )
@@ -257,8 +330,7 @@ def scan_batch(
             output = None
         else:
             if event_type != "END":
-                # record_from_json accepts START outputs; rare enough
-                # to take the slow road rather than model here.
+                # A START output is an error record_from_json reports.
                 return entries, (number, line)
             values = []
             ok = True
@@ -290,138 +362,6 @@ def scan_batch(
     return entries, None
 
 
-def parse_batch(
-    lines: Sequence[str], start: int = 1
-) -> Tuple[
-    List[Tuple[int, str, str, EventRecord]], Optional[LogFormatError]
-]:
-    """Parse a block of JSON lines in one pass.
-
-    The JSON-lines counterpart of :func:`repro.logs.codec.parse_batch`:
-    ``lines[i]`` is line number ``start + i``, blank lines are skipped
-    (this codec has no comments), and the common shape — string fields,
-    numeric time, null or numeric-list output — is validated inline.
-    Anything unusual re-parses through :func:`record_from_json`, so
-    coercions (non-string names) and error messages stay identical to
-    the per-line reader.  Returns ``(entries, error)``; see the codec
-    counterpart for the protocol.
-    """
-    entries: List[Tuple[int, str, str, EventRecord]] = []
-    append = entries.append
-    loads = json.loads
-    intern = sys.intern
-    isfinite = math.isfinite
-    new_record = EventRecord.__new__
-    record_cls = EventRecord
-    cmatch = _CANONICAL_LINE.match
-    number = start - 1
-    for line in lines:
-        number += 1
-        if not line.strip():
-            continue
-        m = cmatch(line)
-        if m is not None:
-            # Canonical shape: every field is already validated by the
-            # grammar, so the record builds straight from the groups
-            # without touching ``json.loads``.
-            (
-                activity,
-                execution_id,
-                output_src,
-                process,
-                time_src,
-                event_type,
-            ) = m.groups()
-            timestamp = float(time_src)
-            if isfinite(timestamp):
-                good = True
-                if output_src == "null":
-                    output = None
-                elif event_type == "END":
-                    values = []
-                    if len(output_src) > 2:
-                        for v in output_src[1:-1].split(", "):
-                            value = float(v)
-                            if not isfinite(value):
-                                good = False
-                                break
-                            values.append(value)
-                    output = tuple(values) if good else None
-                else:
-                    good = False
-                if good:
-                    record = new_record(record_cls)
-                    attrs = record.__dict__
-                    attrs["timestamp"] = timestamp
-                    attrs["execution_id"] = execution_id
-                    attrs["activity"] = intern(activity)
-                    attrs["event_type"] = (
-                        END_EVENT
-                        if event_type == "END"
-                        else START_EVENT
-                    )
-                    attrs["output"] = output
-                    append((number, line, intern(process), record))
-                    continue
-        handled = False
-        try:
-            payload = loads(line)
-            process = payload["process"]
-            execution_id = payload["execution"]
-            activity = payload["activity"]
-            event_type = payload["type"]
-            timestamp = payload["time"]
-            output = payload.get("output")
-            if (
-                type(process) is str
-                and type(execution_id) is str
-                and execution_id
-                and type(activity) is str
-                and activity
-                and type(timestamp) in (int, float)
-                and isfinite(timestamp)
-            ):
-                if event_type == "END":
-                    if output is not None:
-                        if type(output) is list:
-                            values = []
-                            good = True
-                            for v in output:
-                                if type(v) in (int, float) and isfinite(v):
-                                    values.append(float(v))
-                                else:
-                                    good = False
-                                    break
-                            output = tuple(values) if good else None
-                            handled = good
-                        else:
-                            handled = False
-                    else:
-                        handled = True
-                    event_type = END_EVENT
-                elif event_type == "START" and output is None:
-                    event_type = START_EVENT
-                    handled = True
-                if handled:
-                    record = new_record(record_cls)
-                    attrs = record.__dict__
-                    attrs["timestamp"] = float(timestamp)
-                    attrs["execution_id"] = execution_id
-                    attrs["activity"] = intern(activity)
-                    attrs["event_type"] = event_type
-                    attrs["output"] = output
-                    append((number, line, intern(process), record))
-        except (KeyError, TypeError, ValueError):
-            handled = False
-        if not handled:
-            try:
-                name, record = record_from_json(line, number)
-            except LogFormatError as exc:
-                return entries, exc
-            append((number, line, name, record))
-    return entries, None
-
-
 def write_log_jsonl(log: EventLog, stream: IO[str]) -> int:
     """Write ``log`` as JSON lines; returns the line count."""
     process_name = log.process_name or "process"
@@ -431,13 +371,6 @@ def write_log_jsonl(log: EventLog, stream: IO[str]) -> int:
         stream.write("\n")
         count += 1
     return count
-
-
-def _numbered_lines(stream: IO[str]) -> Iterator[Tuple[int, str]]:
-    for line_number, line in enumerate(stream, start=1):
-        if not line.strip():
-            continue
-        yield line_number, line
 
 
 def ingest_log_jsonl(
@@ -560,7 +493,7 @@ def fold_log_jsonl_file(
     The engine behind ``mine --stream`` on ``.jsonl`` logs: the
     batched equivalent of ``fold_executions(iter_ingest_log_jsonl_file(
     path), labelled=labelled)``, decoding blocks of lines through
-    :func:`scan_batch` and folding clean buckets by activity sequence
+    :func:`parse_batch` and folding clean buckets by activity sequence
     without building records or executions (see
     :class:`repro.logs.fastfold.FoldingIngestStream`).  Policy, limit,
     quarantine, window and report semantics match the iterator path
@@ -589,7 +522,6 @@ def fold_log_jsonl_file(
         report=report,
         window=window,
         parse_batch=parse_batch,
-        scan_batch=scan_batch,
         labelled=labelled,
     )
     before = fold_counters(stream.state)
@@ -630,16 +562,6 @@ def read_log_jsonl(stream: IO[str]) -> EventLog:
     policy-driven fault-tolerant reader.
     """
     return ingest_log_jsonl(stream).log
-
-
-def iter_jsonl_records(
-    stream: IO[str],
-) -> Iterator[Tuple[str, EventRecord]]:
-    """Stream ``(process_name, record)`` pairs; blank lines skipped."""
-    for line_number, line in enumerate(stream, start=1):
-        if not line.strip():
-            continue
-        yield record_from_json(line, line_number)
 
 
 def write_log_jsonl_file(

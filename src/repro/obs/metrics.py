@@ -12,11 +12,6 @@ Metrics are keyed by ``(name, labels)`` where labels are an immutable
 sorted tuple of ``(key, value)`` string pairs, so the same logical series
 is always the same object regardless of keyword order at the call site.
 
-``merge`` folds another registry in.  Counter and histogram merging is
-commutative (addition), so the merged totals are identical for any merge
-order; gauges take the incoming value (last merge wins), so a caller
-that merges in a fixed order gets a deterministic result.
-
 Stable metric names are catalogued in ``docs/OBSERVABILITY.md``; code
 should treat a rename as a breaking change.
 """
@@ -247,53 +242,3 @@ class MetricsRegistry:
                 sample["value"] = metric.value
             samples.append(sample)
         return samples
-
-    # ------------------------------------------------------------------
-    # Merge
-    # ------------------------------------------------------------------
-    def merge(self, other: "MetricsRegistry") -> None:
-        """Fold ``other`` into this registry.
-
-        Counters and histograms add (order-independent); gauges take the
-        incoming value (last merge wins).  Histogram merging requires
-        identical bucket bounds.
-        """
-        for key, incoming in sorted(other._metrics.items()):
-            mine = self._metrics.get(key)
-            if mine is None:
-                self._metrics[key] = _clone(incoming)
-                continue
-            if mine.kind != incoming.kind:
-                raise TypeError(
-                    f"cannot merge {incoming.kind} into {mine.kind} "
-                    f"series {key[0]!r}"
-                )
-            if isinstance(mine, Counter):
-                mine.value += incoming.value
-            elif isinstance(mine, Gauge):
-                mine.value = incoming.value
-            else:
-                assert isinstance(incoming, Histogram)
-                if mine.bounds != incoming.bounds:
-                    raise ValueError(
-                        f"histogram {key[0]!r} bucket bounds differ"
-                    )
-                for i, n in enumerate(incoming.bucket_counts):
-                    mine.bucket_counts[i] += n
-                mine.sum += incoming.sum
-                mine.count += incoming.count
-
-
-def _clone(metric: Metric) -> Metric:
-    if isinstance(metric, Counter):
-        copy: Metric = Counter(metric.name, metric.labels)
-        copy.value = metric.value
-    elif isinstance(metric, Gauge):
-        copy = Gauge(metric.name, metric.labels)
-        copy.value = metric.value
-    else:
-        copy = Histogram(metric.name, metric.labels, bounds=metric.bounds)
-        copy.bucket_counts = list(metric.bucket_counts)
-        copy.sum = metric.sum
-        copy.count = metric.count
-    return copy

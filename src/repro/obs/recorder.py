@@ -170,10 +170,6 @@ class ObsRecorder:
         """Record one observation into histogram ``name``."""
         self.registry.histogram(name, labels, bounds=bounds).observe(value)
 
-    def merge_registry(self, other: MetricsRegistry) -> None:
-        """Fold another registry into this run's registry."""
-        self.registry.merge(other)
-
 
 class _NullSpan:
     """The shared no-op span context manager."""
@@ -239,9 +235,6 @@ class NullRecorder:
         labels: Optional[Mapping[str, str]] = None,
         bounds: Optional[Sequence[float]] = None,
     ) -> None:
-        return None
-
-    def merge_registry(self, other: object) -> None:
         return None
 
 

@@ -36,12 +36,13 @@ from hypothesis import strategies as st
 
 from repro.cli import main
 from repro.core.state import MiningState, fold_executions
-from repro.errors import LogFormatError
-from repro.logs import jsonl
+from repro.errors import LogFormatError, ResourceLimitError
+from repro.logs import codec, jsonl
 from repro.logs.execution import Execution
 from repro.logs.fastfold import FoldingIngestStream
 from repro.logs.ingest import (
     INGEST_BLOCK_LINES,
+    IngestLimits,
     IngestReport,
     IngestStream,
     Quarantine,
@@ -65,6 +66,22 @@ def line(activity, eid, event_type, time, output=None, process="p"):
         },
         sort_keys=True,
     )
+
+
+def reordered(raw):
+    """The same record with its keys in reverse order: valid JSON that
+    the canonical grammar does not match."""
+    return json.dumps(dict(reversed(json.loads(raw).items())))
+
+
+def reorder_some(lines, rng):
+    """Rewrite about half of the canonical lines with reordered keys."""
+    return [
+        reordered(raw)
+        if raw.startswith('{"activity"') and rng.random() < 0.5
+        else raw
+        for raw in lines
+    ]
 
 
 def reference_run(lines, policy, window):
@@ -105,8 +122,7 @@ def fast_run(lines, policy, window, block=7, memo_size=65536, scan=True):
         policy=policy,
         quarantine=quarantine,
         window=window,
-        parse_batch=jsonl.parse_batch,
-        scan_batch=jsonl.scan_batch if scan else None,
+        parse_batch=jsonl.parse_batch if scan else None,
     )
     error = None
     try:
@@ -322,6 +338,8 @@ def line_soups(draw):
             raw.replace('"e', '"f') if '"e' in raw else raw
             for raw in lines
         ]
+    if draw(st.booleans()):
+        lines = reorder_some(lines, rng)
     window = draw(st.sampled_from([2, 4, 64, None]))
     block = draw(st.integers(min_value=1, max_value=16))
     memo_size = draw(st.sampled_from([0, 2, 65536]))
@@ -345,6 +363,49 @@ class TestPropertyParity:
             scan=scan,
         )
         assert got == expected
+
+    @given(line_soups())
+    @settings(max_examples=120, deadline=None)
+    def test_plain_push_batch_matches_per_line(self, soup):
+        """The scanner-fed plain stream returns the executions, report,
+        quarantine and error that per-line pushing does."""
+        lines, window, block, _, policy, _ = soup
+        runs = []
+        for scanner in (None, jsonl.parse_batch):
+            quarantine = Quarantine()
+            stream = IngestStream(
+                jsonl.record_from_json,
+                policy=policy,
+                quarantine=quarantine,
+                window=window,
+                parse_batch=scanner,
+            )
+            executions = []
+            error = None
+            try:
+                if scanner is None:
+                    for number, raw in enumerate(lines, 1):
+                        if raw.strip():
+                            executions += stream.push(number, raw)
+                else:
+                    for index in range(0, len(lines), block):
+                        stream.push_batch(
+                            index + 1,
+                            lines[index : index + block],
+                            out=executions,
+                        )
+                executions += stream.flush()
+            except Exception as exc:  # noqa: BLE001
+                error = repr(exc)
+            runs.append(
+                (
+                    [(e.execution_id, e.records) for e in executions],
+                    dataclasses.asdict(stream.report),
+                    [dataclasses.asdict(item) for item in quarantine],
+                    error,
+                )
+            )
+        assert runs[1] == runs[0]
 
     @given(
         st.lists(
@@ -631,6 +692,8 @@ def fold_logs(draw):
                     ]
                 )
             )
+    if draw(st.booleans()):
+        lines = reorder_some(lines, rng)
     window = draw(st.sampled_from([1, 2, 4, 64, None]))
     policy = draw(st.sampled_from(POLICIES))
     labelled = draw(st.booleans())
@@ -688,7 +751,6 @@ class TestFusedFileFold:
         stream = FoldingIngestStream(
             jsonl.record_from_json,
             parse_batch=jsonl.parse_batch,
-            scan_batch=jsonl.scan_batch,
         )
         for offset in range(0, len(lines), INGEST_BLOCK_LINES):
             stream.push_batch(
@@ -711,13 +773,87 @@ class TestFusedFileFold:
         stream = FoldingIngestStream(
             jsonl.record_from_json,
             parse_batch=jsonl.parse_batch,
-            scan_batch=jsonl.scan_batch,
         )
         for offset in range(0, len(lines), 64):
             stream.push_batch(offset + 1, lines[offset : offset + 64])
         stream.close()
         assert stream.line_memo_hits > 0.9 * len(lines)
         assert stream.state.execution_count == 300
+
+
+class TestScanners:
+    def test_reordered_keys_scan_without_stopping(self):
+        canonical = _clean_repeat()
+        lines = [reordered(raw) for raw in canonical]
+        for memo in (None, {}):
+            entries, bad = jsonl.parse_batch(lines, 1, memo)
+            assert bad is None
+            assert [entry[0] for entry in entries] == list(
+                range(1, len(lines) + 1)
+            )
+            expected, _ = jsonl.parse_batch(canonical, 1)
+            assert [entry[2:] for entry in entries] == [
+                entry[2:] for entry in expected
+            ]
+        # Each reordered line was a miss the memo counts.
+        assert len(memo) == len(lines)
+
+    def test_coerced_names_go_to_the_line_parser(self):
+        line = '{"activity": 7, "execution": "e", "process": "p", '
+        line += '"time": 1.0, "type": "START"}'
+        entries, bad = jsonl.parse_batch([line], 5)
+        assert entries == [] and bad == (5, line)
+
+    def test_text_memo_answers_repeats_but_not_comments(self):
+        lines = [
+            "\tx1\ta\tSTART\t1\n",
+            "\tx2\ta\tSTART\t1\n",
+            # Cuts to the same text as the lines above, but a comment.
+            "\t#x3\ta\tSTART\t1\n",
+        ]
+        memo = {}
+        entries, bad = codec.parse_batch(lines, 1, memo)
+        assert bad is None
+        assert [(e[0], e[3]) for e in entries] == [(1, "x1"), (2, "x2")]
+        assert len(memo) == 1
+        assert entries[1][4] is entries[0][4]
+
+
+class TestResourceLimitLineNumbers:
+    @pytest.mark.parametrize(
+        "guard",
+        ("max_executions", "max_events_per_execution", "max_activities"),
+    )
+    def test_every_entry_point_reports_the_line(self, tmp_path, guard):
+        lines = _clean_repeat()
+        limits = IngestLimits(**{guard: 2})
+        path = tmp_path / "log.jsonl"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+        def per_line():
+            stream = IngestStream(jsonl.record_from_json, limits=limits)
+            for number, raw in enumerate(lines, 1):
+                stream.push(number, raw)
+
+        def block():
+            IngestStream(
+                jsonl.record_from_json,
+                limits=limits,
+                parse_batch=jsonl.parse_batch,
+            ).push_batch(1, lines)
+
+        def fused():
+            jsonl.fold_log_jsonl_file(path, limits=limits)
+
+        seen = []
+        for run in (per_line, block, fused):
+            with pytest.raises(ResourceLimitError) as excinfo:
+                run()
+            error = excinfo.value
+            seen.append((error.limit, str(error), error.line_number))
+        assert seen[0][0] == guard
+        assert seen[0][2] is not None
+        assert seen[1:] == [seen[0], seen[0]]
 
 
 def _log_with_bad_lines(path, repeats=6):

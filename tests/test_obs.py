@@ -78,49 +78,6 @@ class TestMetricsRegistry:
         assert names == sorted(names)
         json.dumps(snapshot)  # must not raise
 
-    def test_merge_counters_and_histograms_add(self):
-        a, b = MetricsRegistry(), MetricsRegistry()
-        a.counter("n").inc(2)
-        b.counter("n").inc(3)
-        a.histogram("h", bounds=(1.0,)).observe(0.5)
-        b.histogram("h", bounds=(1.0,)).observe(2.0)
-        a.merge(b)
-        assert a.get("n").value == 5
-        assert a.get("h").count == 2
-        assert a.get("h").sum == pytest.approx(2.5)
-
-    def test_merge_gauge_takes_incoming(self):
-        a, b = MetricsRegistry(), MetricsRegistry()
-        a.gauge("g").set(1)
-        b.gauge("g").set(9)
-        a.merge(b)
-        assert a.get("g").value == 9
-
-    def test_merge_order_deterministic_for_counters(self):
-        """Counter/histogram merges commute: worker order can't matter."""
-        workers = []
-        for index in range(3):
-            registry = MetricsRegistry()
-            registry.counter("jobs", {"w": str(index)}).inc(index + 1)
-            registry.counter("total").inc(index + 1)
-            registry.histogram("h", bounds=(1.0, 2.0)).observe(index * 0.9)
-            workers.append(registry)
-
-        def merged(order):
-            target = MetricsRegistry()
-            for position in order:
-                target.merge(workers[position])
-            return target.snapshot()
-
-        assert merged([0, 1, 2]) == merged([2, 0, 1])
-
-    def test_merge_histogram_bounds_must_match(self):
-        a, b = MetricsRegistry(), MetricsRegistry()
-        a.histogram("h", bounds=(1.0,)).observe(0.5)
-        b.histogram("h", bounds=(2.0,)).observe(0.5)
-        with pytest.raises(ValueError):
-            a.merge(b)
-
 
 # ---------------------------------------------------------------------------
 # ObsRecorder spans
@@ -207,7 +164,6 @@ class TestNullRecorder:
         NULL_RECORDER.count("c")
         NULL_RECORDER.gauge("g", 1)
         NULL_RECORDER.observe("h", 0.5)
-        NULL_RECORDER.merge_registry(MetricsRegistry())
         assert NULL_RECORDER.registry is None
 
     def test_no_per_instance_state(self):
