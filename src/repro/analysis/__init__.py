@@ -11,20 +11,29 @@
   (the paper's "evaluation of the workflow system" use case).
 """
 
-from repro.analysis.coverage import CoverageReport, edge_coverage
-from repro.analysis.diffing import ModelLogDiff, diff_against_log
-from repro.analysis.metrics import RecoveryMetrics, recovery_metrics
-from repro.analysis.recovery import RecoveryRun, run_recovery
-from repro.analysis.tables import TextTable
+from typing import TYPE_CHECKING
 
-__all__ = [
-    "CoverageReport",
-    "ModelLogDiff",
-    "RecoveryMetrics",
-    "RecoveryRun",
-    "TextTable",
-    "diff_against_log",
-    "edge_coverage",
-    "recovery_metrics",
-    "run_recovery",
-]
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.analysis.coverage import CoverageReport, edge_coverage
+    from repro.analysis.diffing import ModelLogDiff, diff_against_log
+    from repro.analysis.metrics import RecoveryMetrics, recovery_metrics
+    from repro.analysis.recovery import RecoveryRun, run_recovery
+    from repro.analysis.tables import TextTable
+
+#: Re-export -> defining module, resolved on first access.
+_EXPORTS = {
+    "CoverageReport": ".coverage",
+    "edge_coverage": ".coverage",
+    "ModelLogDiff": ".diffing",
+    "diff_against_log": ".diffing",
+    "RecoveryMetrics": ".metrics",
+    "recovery_metrics": ".metrics",
+    "RecoveryRun": ".recovery",
+    "run_recovery": ".recovery",
+    "TextTable": ".tables",
+}
+
+__all__ = sorted(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

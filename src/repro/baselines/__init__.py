@@ -17,15 +17,24 @@ made empirically (bench ``bench_baselines.py``):
   SBAE example.
 """
 
-from repro.baselines.ktails import Automaton, ktails_automaton
-from repro.baselines.sequential import (
-    SequentialPattern,
-    mine_sequential_patterns,
-)
+from typing import TYPE_CHECKING
 
-__all__ = [
-    "Automaton",
-    "SequentialPattern",
-    "ktails_automaton",
-    "mine_sequential_patterns",
-]
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.baselines.ktails import Automaton, ktails_automaton
+    from repro.baselines.sequential import (
+        SequentialPattern,
+        mine_sequential_patterns,
+    )
+
+#: Re-export -> defining module, resolved on first access.
+_EXPORTS = {
+    "Automaton": ".ktails",
+    "ktails_automaton": ".ktails",
+    "SequentialPattern": ".sequential",
+    "mine_sequential_patterns": ".sequential",
+}
+
+__all__ = sorted(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -14,21 +14,30 @@ dependency:
   loop back into the process model.
 """
 
-from repro.classifier.dataset import Dataset, LabelledExample
-from repro.classifier.rules import rules_to_condition, tree_to_rules
-from repro.classifier.splits import best_split, entropy, gini
-from repro.classifier.stump import DecisionStump
-from repro.classifier.tree import DecisionTree, TreeConfig
+from typing import TYPE_CHECKING
 
-__all__ = [
-    "Dataset",
-    "DecisionStump",
-    "DecisionTree",
-    "LabelledExample",
-    "TreeConfig",
-    "best_split",
-    "entropy",
-    "gini",
-    "rules_to_condition",
-    "tree_to_rules",
-]
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.classifier.dataset import Dataset, LabelledExample
+    from repro.classifier.rules import rules_to_condition, tree_to_rules
+    from repro.classifier.splits import best_split, entropy, gini
+    from repro.classifier.stump import DecisionStump
+    from repro.classifier.tree import DecisionTree, TreeConfig
+
+#: Re-export -> defining module, resolved on first access.
+_EXPORTS = {
+    "Dataset": ".dataset",
+    "LabelledExample": ".dataset",
+    "rules_to_condition": ".rules",
+    "tree_to_rules": ".rules",
+    "best_split": ".splits",
+    "entropy": ".splits",
+    "gini": ".splits",
+    "DecisionStump": ".stump",
+    "DecisionTree": ".tree",
+    "TreeConfig": ".tree",
+}
+
+__all__ = sorted(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -57,7 +57,6 @@ import argparse
 import sys
 from typing import Dict, List, Optional, Tuple
 
-from repro.analysis.diffing import diff_against_log
 from repro.core.miner import (
     ALGORITHM_AUTO,
     ALGORITHM_CYCLIC,
@@ -66,13 +65,10 @@ from repro.core.miner import (
     MiningResult,
     ProcessMiner,
 )
-from repro.datasets.flowmark import FLOWMARK_PROCESS_NAMES, flowmark_dataset
-from repro.datasets.synthetic import SyntheticConfig, synthetic_dataset
-from repro.engine.simulator import SimulationConfig, WorkflowSimulator
+from repro.core.state import MODE_CYCLIC, load_state, save_state
 from repro.errors import CycleError, EmptyLogError, MiningError, ReproError
 from repro.lint import LintConfig, Severity, lint_model
-from repro.lint.emitters import FORMATS as LINT_FORMATS
-from repro.lint.emitters import model_line_map, render
+from repro.lint.diagnostics import FORMATS as LINT_FORMATS
 from repro.lint.engine import severity_overrides
 from repro.logs.codec import ingest_log_file, read_log_file, write_log_file
 from repro.logs.ingest import (
@@ -84,19 +80,16 @@ from repro.logs.ingest import (
     Quarantine,
     publish_ingest_report,
 )
-from repro.obs import (
+from repro.logs.jsonl import ingest_log_jsonl_file
+from repro.model.serialize import load_model, save_model
+from repro.obs.recorder import (
     FORMAT_JSONL,
     FORMATS as METRICS_FORMATS,
     NULL_RECORDER,
     ObsRecorder,
-    RunManifest,
-    write_manifest,
 )
-from repro.logs.jsonl import ingest_log_jsonl_file
-from repro.logs.stats import format_statistics, summarize_log
-from repro.logs.timing import format_timing_report
-from repro.model.evolution import evolve_model
-from repro.model.serialize import load_model, save_model
+from repro.paper import FLOWMARK_PROCESS_NAMES
+from repro.service import wire
 
 
 def _positive_int(text: str) -> int:
@@ -728,6 +721,9 @@ def _write_metrics(
     # when one was asked for.
     if not recorder.enabled or not getattr(args, "metrics_out", None):
         return
+    from repro.obs.export import write_manifest
+    from repro.obs.manifest import RunManifest
+
     manifest = RunManifest.collect(
         recorder,
         command=command,
@@ -779,9 +775,7 @@ def _print_graph(graph, args: argparse.Namespace, name: str) -> None:
     shared with the service's model endpoint — one renderer is what
     keeps HTTP responses byte-identical to this stdout.
     """
-    from repro.service.wire import render_graph_block
-
-    sys.stdout.write(render_graph_block(graph, args.format, name=name))
+    sys.stdout.write(wire.render_graph_block(graph, args.format, name=name))
 
 
 def _cmd_mine_stream(args: argparse.Namespace) -> int:
@@ -808,7 +802,7 @@ def _cmd_mine_stream(args: argparse.Namespace) -> int:
     """
     from repro.core.cyclic import merge_instances
     from repro.core.general_dag import MiningTrace
-    from repro.core.state import fold_executions, save_state
+    from repro.core.state import fold_executions
     from repro.logs.codec import iter_ingest_log_file
     from repro.logs.jsonl import (
         fold_log_jsonl_file,
@@ -1016,7 +1010,6 @@ def _cmd_mine_stream(args: argparse.Namespace) -> int:
 def _cmd_merge_states(args: argparse.Namespace) -> int:
     """``merge-states``: fold shard state files, then finish once."""
     from repro.core.cyclic import merge_instances
-    from repro.core.state import MODE_CYCLIC, load_state, save_state
 
     merged = None
     mode = None
@@ -1059,7 +1052,6 @@ def _cmd_verify_state(args: argparse.Namespace) -> int:
     """
     from pathlib import Path
 
-    from repro.core.state import load_state
     from repro.errors import CheckpointError, JournalError
     from repro.resilience.journal import scan_journal
     from repro.resilience.session import (
@@ -1326,6 +1318,9 @@ def _verify_mined(
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
+    from repro.datasets.flowmark import flowmark_dataset
+    from repro.datasets.synthetic import SyntheticConfig, synthetic_dataset
+
     if args.kind == "synthetic":
         dataset = synthetic_dataset(
             SyntheticConfig(
@@ -1347,6 +1342,8 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
+    from repro.logs.stats import format_statistics, summarize_log
+
     log = read_log_file(args.log)
     print(f"process: {log.process_name or '?'}")
     print(format_statistics(summarize_log(log)))
@@ -1366,6 +1363,8 @@ def _cmd_conditions(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
+    from repro.engine.simulator import SimulationConfig, WorkflowSimulator
+
     model = load_model(args.model)
     simulator = WorkflowSimulator(
         model, SimulationConfig(agents=args.agents, seed=args.seed)
@@ -1380,6 +1379,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
+    from repro.analysis.diffing import diff_against_log
+
     model = load_model(args.model)
     log = read_log_file(args.log)
     diff = diff_against_log(model, log, threshold=args.threshold)
@@ -1390,6 +1391,8 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 
 def _cmd_evolve(args: argparse.Namespace) -> int:
+    from repro.model.evolution import evolve_model
+
     model = load_model(args.model)
     log = read_log_file(args.log)
     result = evolve_model(
@@ -1407,6 +1410,8 @@ def _cmd_evolve(args: argparse.Namespace) -> int:
 
 
 def _cmd_timing(args: argparse.Namespace) -> int:
+    from repro.logs.timing import format_timing_report
+
     log = read_log_file(args.log)
     print(f"process: {log.process_name or '?'}")
     print(format_timing_report(log))
@@ -1490,6 +1495,8 @@ def _parse_severity_overrides(pairs: List[str]):
 
 
 def _cmd_lint(args: argparse.Namespace) -> int:
+    from repro.lint.emitters import model_line_map, render
+
     recorder = _metrics_recorder(args)
     with recorder.span("load_model"):
         model = load_model(args.model)

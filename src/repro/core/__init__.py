@@ -17,45 +17,54 @@
 * :mod:`repro.core.miner` — the :class:`ProcessMiner` facade.
 """
 
-from repro.core.conditions import ConditionsMiner, MinedCondition
-from repro.core.conformance import (
-    ConformanceReport,
-    check_conformance,
-    is_consistent,
-)
-from repro.core.cyclic import mine_cyclic
-from repro.core.dependency import DependencyRelation, dependency_relation
-from repro.core.followings import FollowRelation, follow_relation
-from repro.core.general_dag import mine_general_dag
-from repro.core.incremental import IncrementalMiner
-from repro.core.miner import MiningResult, ProcessMiner
-from repro.core.minimize import minimization_gap, minimize_conformal
-from repro.core.noise import (
-    NoiseThreshold,
-    optimal_threshold,
-    threshold_error_probability,
-)
-from repro.core.special_dag import mine_special_dag
+from typing import TYPE_CHECKING
 
-__all__ = [
-    "ConditionsMiner",
-    "ConformanceReport",
-    "DependencyRelation",
-    "FollowRelation",
-    "IncrementalMiner",
-    "MinedCondition",
-    "MiningResult",
-    "NoiseThreshold",
-    "ProcessMiner",
-    "check_conformance",
-    "dependency_relation",
-    "follow_relation",
-    "is_consistent",
-    "mine_cyclic",
-    "mine_general_dag",
-    "mine_special_dag",
-    "minimization_gap",
-    "minimize_conformal",
-    "optimal_threshold",
-    "threshold_error_probability",
-]
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.core.conditions import ConditionsMiner, MinedCondition
+    from repro.core.conformance import (
+        ConformanceReport,
+        check_conformance,
+        is_consistent,
+    )
+    from repro.core.cyclic import mine_cyclic
+    from repro.core.dependency import DependencyRelation, dependency_relation
+    from repro.core.followings import FollowRelation, follow_relation
+    from repro.core.general_dag import mine_general_dag
+    from repro.core.incremental import IncrementalMiner
+    from repro.core.miner import MiningResult, ProcessMiner
+    from repro.core.minimize import minimization_gap, minimize_conformal
+    from repro.core.noise import (
+        NoiseThreshold,
+        optimal_threshold,
+        threshold_error_probability,
+    )
+    from repro.core.special_dag import mine_special_dag
+
+#: Re-export -> defining module, resolved on first access.
+_EXPORTS = {
+    "ConditionsMiner": ".conditions",
+    "MinedCondition": ".conditions",
+    "ConformanceReport": ".conformance",
+    "check_conformance": ".conformance",
+    "is_consistent": ".conformance",
+    "mine_cyclic": ".cyclic",
+    "DependencyRelation": ".dependency",
+    "dependency_relation": ".dependency",
+    "FollowRelation": ".followings",
+    "follow_relation": ".followings",
+    "mine_general_dag": ".general_dag",
+    "IncrementalMiner": ".incremental",
+    "MiningResult": ".miner",
+    "ProcessMiner": ".miner",
+    "minimization_gap": ".minimize",
+    "minimize_conformal": ".minimize",
+    "NoiseThreshold": ".noise",
+    "optimal_threshold": ".noise",
+    "threshold_error_probability": ".noise",
+    "mine_special_dag": ".special_dag",
+}
+
+__all__ = sorted(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

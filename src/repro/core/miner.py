@@ -10,9 +10,8 @@ conditions (Section 7), and packages everything as a
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
-from repro.core.conditions import ConditionsMiner, MinedCondition
 from repro.core.cyclic import mine_cyclic
 from repro.core.general_dag import MiningTrace, mine_general_dag
 from repro.core.special_dag import mine_special_dag
@@ -22,6 +21,9 @@ from repro.logs.event_log import EventLog
 from repro.model.activity import Activity
 from repro.model.process import ProcessModel
 from repro.obs.recorder import Recorder, resolve_recorder
+
+if TYPE_CHECKING:
+    from repro.core.conditions import ConditionsMiner, MinedCondition
 
 #: Algorithm selector values.
 ALGORITHM_SPECIAL = "special-dag"    # Algorithm 1
@@ -105,7 +107,8 @@ class ProcessMiner:
         Whether to run Section 7's conditions mining on the result.
     conditions_miner:
         Custom conditions learner (defaults to a fresh
-        :class:`ConditionsMiner`).
+        :class:`ConditionsMiner`, built when first needed so a miner
+        that learns no conditions never loads the classifier).
     recorder:
         :mod:`repro.obs` recorder threaded through every stage (spans
         and the stable metric catalogue of ``docs/OBSERVABILITY.md``).
@@ -140,8 +143,17 @@ class ProcessMiner:
         self.algorithm = algorithm
         self.threshold = threshold
         self.learn_conditions = learn_conditions
-        self.conditions_miner = conditions_miner or ConditionsMiner()
+        self._conditions_miner = conditions_miner
         self.recorder: Recorder = resolve_recorder(recorder)
+
+    @property
+    def conditions_miner(self) -> ConditionsMiner:
+        """The Section 7 conditions learner."""
+        if self._conditions_miner is None:
+            from repro.core.conditions import ConditionsMiner
+
+            self._conditions_miner = ConditionsMiner()
+        return self._conditions_miner
 
     def mine(self, log: EventLog) -> MiningResult:
         """Mine ``log`` into a :class:`MiningResult`."""

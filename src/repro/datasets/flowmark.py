@@ -17,33 +17,18 @@ process' name.  Only the *counts* are pinned by the paper.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import List
 
 from repro.engine.simulator import SimulationConfig, WorkflowSimulator
 from repro.logs.event_log import EventLog
 from repro.model.builder import ProcessBuilder
 from repro.model.conditions import attr_ge, attr_gt, attr_le, attr_lt
 from repro.model.process import ProcessModel
-
-#: The five processes of Table 3 with their published execution counts.
-FLOWMARK_EXECUTIONS: Dict[str, int] = {
-    "Upload_and_Notify": 134,
-    "StressSleep": 160,
-    "Pend_Block": 121,
-    "Local_Swap": 24,
-    "UWI_Pilot": 134,
-}
-
-FLOWMARK_PROCESS_NAMES = tuple(FLOWMARK_EXECUTIONS)
-
-#: Published (vertices, edges) per process, for sanity assertions.
-FLOWMARK_SHAPES: Dict[str, tuple] = {
-    "Upload_and_Notify": (7, 7),
-    "StressSleep": (14, 23),
-    "Pend_Block": (6, 7),
-    "Local_Swap": (12, 11),
-    "UWI_Pilot": (7, 7),
-}
+from repro.paper import (
+    FLOWMARK_EXECUTIONS,
+    FLOWMARK_PROCESS_NAMES,
+    FLOWMARK_SHAPES,
+)
 
 
 @dataclass(frozen=True)

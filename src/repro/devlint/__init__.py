@@ -22,50 +22,59 @@ Run it with ``python -m repro.devlint [paths] [--format sarif]``; see
 ``docs/LINTING.md`` ("Analyzing the analyzer") for the code catalogue.
 """
 
-from repro.devlint.baseline import (
-    Baseline,
-    baseline_from_entries,
-    load_baseline,
-    save_baseline,
-)
-from repro.devlint.context import (
-    DevContext,
-    SourceModule,
-    collect_modules,
-)
-from repro.devlint.emitters import render
-from repro.devlint.engine import (
-    CODE_PARSE_ERROR,
-    CODE_STALE_SUPPRESSION,
-    PROJECT_ARTIFACT,
-    DevConfig,
-    DevReport,
-    run_devlint,
-)
-from repro.devlint.rules import (
-    DevFinding,
-    DevRule,
-    all_dev_rules,
-    get_dev_rule,
-)
+from typing import TYPE_CHECKING
 
-__all__ = [
-    "Baseline",
-    "CODE_PARSE_ERROR",
-    "CODE_STALE_SUPPRESSION",
-    "DevConfig",
-    "DevContext",
-    "DevFinding",
-    "DevReport",
-    "DevRule",
-    "PROJECT_ARTIFACT",
-    "SourceModule",
-    "all_dev_rules",
-    "baseline_from_entries",
-    "collect_modules",
-    "get_dev_rule",
-    "load_baseline",
-    "render",
-    "run_devlint",
-    "save_baseline",
-]
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.devlint.baseline import (
+        Baseline,
+        baseline_from_entries,
+        load_baseline,
+        save_baseline,
+    )
+    from repro.devlint.context import (
+        DevContext,
+        SourceModule,
+        collect_modules,
+    )
+    from repro.devlint.emitters import render
+    from repro.devlint.engine import (
+        CODE_PARSE_ERROR,
+        CODE_STALE_SUPPRESSION,
+        PROJECT_ARTIFACT,
+        DevConfig,
+        DevReport,
+        run_devlint,
+    )
+    from repro.devlint.rules import (
+        DevFinding,
+        DevRule,
+        all_dev_rules,
+        get_dev_rule,
+    )
+
+#: Re-export -> defining module, resolved on first access.
+_EXPORTS = {
+    "Baseline": ".baseline",
+    "baseline_from_entries": ".baseline",
+    "load_baseline": ".baseline",
+    "save_baseline": ".baseline",
+    "DevContext": ".context",
+    "SourceModule": ".context",
+    "collect_modules": ".context",
+    "render": ".emitters",
+    "CODE_PARSE_ERROR": ".engine",
+    "CODE_STALE_SUPPRESSION": ".engine",
+    "PROJECT_ARTIFACT": ".engine",
+    "DevConfig": ".engine",
+    "DevReport": ".engine",
+    "run_devlint": ".engine",
+    "DevFinding": ".rules",
+    "DevRule": ".rules",
+    "all_dev_rules": ".rules",
+    "get_dev_rule": ".rules",
+}
+
+__all__ = sorted(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -19,20 +19,29 @@ case in practice"; cyclic *logs* for Algorithm 3 are produced by the
 random-walk generator in :mod:`repro.datasets.cyclic`.
 """
 
-from repro.engine.scheduler import AgentPool, SimulationClock
-from repro.engine.simulator import SimulationConfig, WorkflowSimulator
-from repro.engine.stats import (
-    RunStats,
-    SimulationStats,
-    pool_sizing_table,
-)
+from typing import TYPE_CHECKING
 
-__all__ = [
-    "AgentPool",
-    "RunStats",
-    "SimulationClock",
-    "SimulationConfig",
-    "SimulationStats",
-    "WorkflowSimulator",
-    "pool_sizing_table",
-]
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.engine.scheduler import AgentPool, SimulationClock
+    from repro.engine.simulator import SimulationConfig, WorkflowSimulator
+    from repro.engine.stats import (
+        RunStats,
+        SimulationStats,
+        pool_sizing_table,
+    )
+
+#: Re-export -> defining module, resolved on first access.
+_EXPORTS = {
+    "AgentPool": ".scheduler",
+    "SimulationClock": ".scheduler",
+    "SimulationConfig": ".simulator",
+    "WorkflowSimulator": ".simulator",
+    "RunStats": ".stats",
+    "SimulationStats": ".stats",
+    "pool_sizing_table": ".stats",
+}
+
+__all__ = sorted(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

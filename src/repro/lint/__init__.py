@@ -25,36 +25,45 @@ selects rules and overrides severities, and :mod:`repro.lint.emitters`
 renders reports as text, JSON, or SARIF 2.1.0.
 """
 
-from repro.lint.config import LintConfig
-from repro.lint.diagnostics import (
-    Diagnostic,
-    Location,
-    Severity,
-    activity_location,
-    edge_location,
-    model_location,
-)
-from repro.lint.engine import LintReport, lint_model
-from repro.lint.rules import LintContext, LintRule, all_rules, get_rule
-from repro.lint.satisfiability import is_satisfiable, is_tautology
+from typing import TYPE_CHECKING
 
-# Built-in rules register on import.
-from repro.lint import builtin as _builtin  # noqa: F401
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Diagnostic",
-    "Location",
-    "Severity",
-    "LintConfig",
-    "LintContext",
-    "LintReport",
-    "LintRule",
-    "activity_location",
-    "all_rules",
-    "edge_location",
-    "get_rule",
-    "is_satisfiable",
-    "is_tautology",
-    "lint_model",
-    "model_location",
-]
+if TYPE_CHECKING:
+    from repro.lint.config import LintConfig
+    from repro.lint.diagnostics import (
+        Diagnostic,
+        Location,
+        Severity,
+        activity_location,
+        edge_location,
+        model_location,
+    )
+    from repro.lint.engine import LintReport, lint_model
+    from repro.lint.rules import LintContext, LintRule, all_rules, get_rule
+    from repro.lint.satisfiability import is_satisfiable, is_tautology
+
+#: Re-export -> defining module, resolved on first access.
+_EXPORTS = {
+    "LintConfig": ".config",
+    "Diagnostic": ".diagnostics",
+    "Location": ".diagnostics",
+    "Severity": ".diagnostics",
+    "activity_location": ".diagnostics",
+    "edge_location": ".diagnostics",
+    "model_location": ".diagnostics",
+    "LintReport": ".engine",
+    "lint_model": ".engine",
+    "LintContext": ".rules",
+    "LintRule": ".rules",
+    "all_rules": ".rules",
+    "get_rule": ".rules",
+    "is_satisfiable": ".satisfiability",
+    "is_tautology": ".satisfiability",
+}
+
+__all__ = sorted(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
+
+# Built-in rules register on import, and ``mine`` runs them.
+from repro.lint import builtin as _builtin  # noqa: E402,F401

@@ -52,6 +52,13 @@ _SEVERITY_RANK: Dict[Severity, int] = {
 
 
 # Location kinds.
+#: Report formats of :func:`repro.lint.emitters.render` (defined here,
+#: with the vocabulary, so the CLI's parser need not load the emitters).
+FORMAT_TEXT = "text"
+FORMAT_JSON = "json"
+FORMAT_SARIF = "sarif"
+FORMATS = (FORMAT_TEXT, FORMAT_JSON, FORMAT_SARIF)
+
 KIND_MODEL = "model"
 KIND_ACTIVITY = "activity"
 KIND_EDGE = "edge"

@@ -18,6 +18,10 @@ from typing import Any, Dict, List, Optional
 
 from repro import __version__
 from repro.lint.diagnostics import (
+    FORMAT_JSON,
+    FORMAT_SARIF,
+    FORMAT_TEXT,
+    FORMATS,
     Diagnostic,
     Location,
     activity_location,
@@ -26,11 +30,6 @@ from repro.lint.diagnostics import (
 )
 from repro.lint.engine import LintReport
 from repro.lint.rules import LintRule, all_rules
-
-FORMAT_TEXT = "text"
-FORMAT_JSON = "json"
-FORMAT_SARIF = "sarif"
-FORMATS = (FORMAT_TEXT, FORMAT_JSON, FORMAT_SARIF)
 
 SARIF_VERSION = "2.1.0"
 SARIF_SCHEMA = (

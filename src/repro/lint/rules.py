@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import (
-    TYPE_CHECKING,
     Callable,
     Dict,
     Iterable,
@@ -26,9 +25,7 @@ from typing import (
     Tuple,
 )
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.analysis.coverage import CoverageReport
-
+from repro.analysis import coverage as log_coverage
 from repro.graphs.digraph import DiGraph
 from repro.graphs.transitive import transitive_reduction_edges
 from repro.graphs.traversal import ancestors, descendants, find_cycle
@@ -79,7 +76,7 @@ class LintContext:
         self._reaching: Optional[Set[str]] = None
         self._reduction: Optional[Set[Edge]] = None
         self._reduction_computed = False
-        self._coverage: Optional["CoverageReport"] = None
+        self._coverage: Optional[log_coverage.CoverageReport] = None
         self._coverage_computed = False
         self._observed: Optional[Dict[str, List[Tuple[float, ...]]]] = None
         self._log_activities: Optional[Set[str]] = None
@@ -135,21 +132,17 @@ class LintContext:
     # Log-derived caches
     # ------------------------------------------------------------------
     @property
-    def coverage(self) -> Optional["CoverageReport"]:
+    def coverage(self) -> Optional[log_coverage.CoverageReport]:
         """Per-edge usage of the model by the log (``None`` without a
         log, for an empty log, or for a cyclic graph — required-edge
         analysis needs a topological order)."""
         if not self._coverage_computed:
             self._coverage_computed = True
             if self.log is not None and len(self.log) > 0 and self.is_dag:
-                # Imported lazily: repro.analysis pulls in the miners,
-                # which would cycle back into repro.model at import
-                # time now that validate_process delegates to the lint
-                # engine.
-                from repro.analysis.coverage import edge_coverage
-
                 with self.recorder.span("lint/coverage"):
-                    self._coverage = edge_coverage(self.graph, self.log)
+                    self._coverage = log_coverage.edge_coverage(
+                        self.graph, self.log
+                    )
         return self._coverage
 
     @property

@@ -77,11 +77,25 @@ def _require_number(
         raise LogFormatError(
             f"{what} must be a number, got {value!r}", line_number
         )
-    if not math.isfinite(value):
+    try:
+        number = float(value)
+    except OverflowError:
+        # An integer past the float range is as infinite as
+        # ``Infinity`` (and its digits would make an unbounded message).
+        number = math.inf if value > 0 else -math.inf
+    if not math.isfinite(number):
         raise LogFormatError(
-            f"{what} must be finite, got {value!r}", line_number
+            f"{what} must be finite, got {number!r}", line_number
         )
-    return float(value)
+    return number
+
+
+def _isfinite(value: Union[int, float]) -> bool:
+    """``math.isfinite``, False for an integer too large for a float."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 def record_to_json(record: EventRecord, process_name: str) -> str:
@@ -107,7 +121,9 @@ def record_from_json(
     """Parse one JSON line into ``(process_name, record)``."""
     try:
         payload = json.loads(line)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # Besides JSONDecodeError: an integer literal past the
+        # interpreter's digit limit, or nesting past the recursion limit.
         raise LogFormatError(f"invalid JSON: {exc}", line_number) from exc
     if not isinstance(payload, dict):
         raise LogFormatError("record must be a JSON object", line_number)
@@ -206,7 +222,7 @@ def _loads_fields(
         event_type = payload["type"]
         timestamp = payload["time"]
         output = payload.get("output")
-    except (KeyError, TypeError, ValueError):
+    except (KeyError, TypeError, ValueError, RecursionError):
         return None
     if not (
         type(process) is str
@@ -215,7 +231,7 @@ def _loads_fields(
         and type(activity) is str
         and activity
         and type(timestamp) in (int, float)
-        and math.isfinite(timestamp)
+        and _isfinite(timestamp)
     ):
         return None
     if event_type == "END":
@@ -224,9 +240,7 @@ def _loads_fields(
                 return None
             values = []
             for value in output:
-                if type(value) not in (int, float) or not math.isfinite(
-                    value
-                ):
+                if type(value) not in (int, float) or not _isfinite(value):
                     return None
                 values.append(float(value))
             output = tuple(values)

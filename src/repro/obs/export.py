@@ -26,15 +26,9 @@ from pathlib import Path
 from typing import Dict, List, Tuple, Union
 
 from repro.obs.manifest import RunManifest
+from repro.obs.recorder import FORMAT_JSONL, FORMAT_PROM, FORMAT_TEXT, FORMATS
 
 PathOrStr = Union[str, Path]
-
-FORMAT_JSONL = "jsonl"
-FORMAT_PROM = "prom"
-FORMAT_TEXT = "text"
-
-#: Formats accepted by ``--metrics-format`` and :func:`render`.
-FORMATS = (FORMAT_JSONL, FORMAT_PROM, FORMAT_TEXT)
 
 
 # ----------------------------------------------------------------------

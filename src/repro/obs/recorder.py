@@ -27,6 +27,15 @@ from repro.obs.metrics import DEFAULT_BUCKETS, MetricsRegistry
 
 Number = Union[int, float]
 
+FORMAT_JSONL = "jsonl"
+FORMAT_PROM = "prom"
+FORMAT_TEXT = "text"
+
+#: Formats accepted by ``--metrics-format`` and
+#: :func:`repro.obs.export.render` (defined here, beside the spans and
+#: metrics they export, so the CLI's parser need not load the exporters).
+FORMATS = (FORMAT_JSONL, FORMAT_PROM, FORMAT_TEXT)
+
 
 @dataclass(frozen=True)
 class Span:

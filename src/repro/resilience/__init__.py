@@ -4,82 +4,77 @@ See ``docs/RELIABILITY.md`` for the durability contract this package
 implements and the recovery procedure it supports.
 """
 
-from repro.errors import JournalError
-from repro.resilience.durable import crc32c, durable_write, fsync_directory
-from repro.resilience.faults import (
-    CHOKE_POINTS,
-    FAULT_KINDS,
-    PLAN_ENV,
-    FaultInjector,
-    FaultPlan,
-    FaultSpec,
-    InjectedIOError,
-    InjectedTear,
-    get_injector,
-    hard_kill,
-    install,
-    maybe_fault,
-    now,
-    uninstall,
-)
-from repro.resilience.journal import (
-    Journal,
-    JournalScan,
-    decode_execution,
-    encode_execution,
-    replay_executions,
-    scan_journal,
-    scan_segment,
-)
-# The session layer sits on top of repro.core.state, which itself uses
-# the durable/fault primitives above — importing it eagerly here would
-# close an import cycle, so its exports resolve lazily (PEP 562).
-_SESSION_EXPORTS = (
-    "DEFAULT_CHECKPOINT_EVERY",
-    "DurableSession",
-    "HandoffReceipt",
-    "RecoveryReport",
-)
+from typing import TYPE_CHECKING
 
+from repro._lazy import lazy_exports
 
-def __getattr__(name: str) -> object:
-    if name in _SESSION_EXPORTS:
-        from repro.resilience import session
-
-        return getattr(session, name)
-    raise AttributeError(
-        f"module {__name__!r} has no attribute {name!r}"
+if TYPE_CHECKING:
+    from repro.errors import JournalError
+    from repro.resilience.durable import crc32c, durable_write, fsync_directory
+    from repro.resilience.faults import (
+        CHOKE_POINTS,
+        FAULT_KINDS,
+        PLAN_ENV,
+        FaultInjector,
+        FaultPlan,
+        FaultSpec,
+        InjectedIOError,
+        InjectedTear,
+        get_injector,
+        hard_kill,
+        install,
+        maybe_fault,
+        now,
+        uninstall,
+    )
+    from repro.resilience.journal import (
+        Journal,
+        JournalScan,
+        decode_execution,
+        encode_execution,
+        replay_executions,
+        scan_journal,
+        scan_segment,
+    )
+    from repro.resilience.session import (
+        DEFAULT_CHECKPOINT_EVERY,
+        DurableSession,
+        HandoffReceipt,
+        RecoveryReport,
     )
 
+#: Re-export -> defining module, resolved on first access.
+_EXPORTS = {
+    "JournalError": "repro.errors",
+    "crc32c": ".durable",
+    "durable_write": ".durable",
+    "fsync_directory": ".durable",
+    "CHOKE_POINTS": ".faults",
+    "FAULT_KINDS": ".faults",
+    "PLAN_ENV": ".faults",
+    "FaultInjector": ".faults",
+    "FaultPlan": ".faults",
+    "FaultSpec": ".faults",
+    "InjectedIOError": ".faults",
+    "InjectedTear": ".faults",
+    "get_injector": ".faults",
+    "hard_kill": ".faults",
+    "install": ".faults",
+    "maybe_fault": ".faults",
+    "now": ".faults",
+    "uninstall": ".faults",
+    "Journal": ".journal",
+    "JournalScan": ".journal",
+    "decode_execution": ".journal",
+    "encode_execution": ".journal",
+    "replay_executions": ".journal",
+    "scan_journal": ".journal",
+    "scan_segment": ".journal",
+    "DEFAULT_CHECKPOINT_EVERY": ".session",
+    "DurableSession": ".session",
+    "HandoffReceipt": ".session",
+    "RecoveryReport": ".session",
+}
 
-__all__ = [
-    "CHOKE_POINTS",
-    "DEFAULT_CHECKPOINT_EVERY",
-    "FAULT_KINDS",
-    "PLAN_ENV",
-    "DurableSession",
-    "FaultInjector",
-    "FaultPlan",
-    "FaultSpec",
-    "HandoffReceipt",
-    "InjectedIOError",
-    "InjectedTear",
-    "Journal",
-    "JournalError",
-    "JournalScan",
-    "RecoveryReport",
-    "crc32c",
-    "decode_execution",
-    "durable_write",
-    "encode_execution",
-    "fsync_directory",
-    "get_injector",
-    "hard_kill",
-    "install",
-    "maybe_fault",
-    "now",
-    "replay_executions",
-    "scan_journal",
-    "scan_segment",
-    "uninstall",
-]
+__all__ = sorted(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

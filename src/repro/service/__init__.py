@@ -17,8 +17,9 @@ See ``docs/SERVICE.md`` for the endpoint contract, backpressure and
 shutdown semantics.
 """
 
-from importlib import import_module
 from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
 
 if TYPE_CHECKING:
     from repro.service.client import ClientResponse, ServiceClient
@@ -38,34 +39,24 @@ if TYPE_CHECKING:
         serve,
     )
 
-#: Re-export -> defining submodule.  Resolved on first access (PEP
-#: 562), so importing a light submodule — ``mine`` renders through
+#: Re-export -> defining module.  Resolved on first access, so
+#: importing a light submodule — ``mine`` renders through
 #: :mod:`repro.service.wire` — does not load the daemon and asyncio.
 _EXPORTS = {
-    "ClientResponse": "client",
-    "ServiceClient": "client",
-    "ModelSnapshot": "registry",
-    "ServiceError": "registry",
-    "Tenant": "registry",
-    "TenantConfig": "registry",
-    "TenantRegistry": "registry",
-    "Request": "server",
-    "Response": "server",
-    "ServiceApp": "server",
-    "ServiceConfig": "server",
-    "ServiceServer": "server",
-    "serve": "server",
+    "ClientResponse": ".client",
+    "ServiceClient": ".client",
+    "ModelSnapshot": ".registry",
+    "ServiceError": ".registry",
+    "Tenant": ".registry",
+    "TenantConfig": ".registry",
+    "TenantRegistry": ".registry",
+    "Request": ".server",
+    "Response": ".server",
+    "ServiceApp": ".server",
+    "ServiceConfig": ".server",
+    "ServiceServer": ".server",
+    "serve": ".server",
 }
 
 __all__ = sorted(_EXPORTS)
-
-
-def __getattr__(name: str) -> object:
-    module = _EXPORTS.get(name)
-    if module is None:
-        raise AttributeError(
-            f"module {__name__!r} has no attribute {name!r}"
-        )
-    value = getattr(import_module(f"{__name__}.{module}"), name)
-    globals()[name] = value
-    return value
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

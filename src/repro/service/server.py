@@ -49,12 +49,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.errors import ReproError
 from repro.lint import LintConfig
-from repro.lint.emitters import render as render_lint
-from repro.obs import (
-    NULL_RECORDER,
-    RunManifest,
-    render_prometheus,
-)
+from repro.obs import NULL_RECORDER
 from repro.resilience.durable import durable_write
 from repro.resilience.session import HandoffReceipt
 from repro.service import wire
@@ -381,6 +376,9 @@ class ServiceApp:
         )
 
     async def _handle_metrics(self, request: Request) -> Response:
+        from repro.obs.export import render_prometheus
+        from repro.obs.manifest import RunManifest
+
         manifest = RunManifest.collect(self.recorder, command="serve")
         return Response(
             status=200,
@@ -535,6 +533,8 @@ class ServiceApp:
     async def _handle_lint(
         self, request: Request, process: str
     ) -> Response:
+        from repro.lint.emitters import render as render_lint
+
         tenant = self._tenant_for_read(process)
         options: Dict[str, object] = {}
         if request.body.strip():

@@ -536,6 +536,105 @@ class TestCliRobustMine:
         assert code == 3
         assert "quarantined=1 lines" in captured.err
 
+    @staticmethod
+    def _log_with_value(tmp_path, value, field, canonical):
+        """The sample log plus one END line whose ``field`` is ``value``.
+
+        ``value`` is JSON text spliced in verbatim.  A canonical
+        line takes the block scanner's grammar tier, any other key order
+        its JSON-decoder tier; strict and per-line errors come from
+        ``record_from_json`` either way.
+        """
+        buffer = io.StringIO()
+        write_log_jsonl(sample_log(), buffer)
+        output = f"[{value}]" if field == "output" else "null"
+        time = value if field == "time" else "99.0"
+        if canonical:
+            line = (
+                f'{{"activity": "Z", "execution": "late", "output": '
+                f'{output}, "process": "claims", "time": {time}, '
+                f'"type": "END"}}'
+            )
+        else:
+            line = (
+                f'{{"type": "END", "time": {time}, "process": "claims", '
+                f'"output": {output}, "execution": "late", '
+                f'"activity": "Z"}}'
+            )
+        path = tmp_path / f"{field}-{canonical}-{len(value)}.jsonl"
+        path.write_text(buffer.getvalue() + line + "\n")
+        return path
+
+    def _mine(self, capsys, path, dead, *extra):
+        dead.unlink(missing_ok=True)
+        argv = ["mine", str(path), "--format", "edges", *extra]
+        if extra[:2] == ("--on-error", "skip"):
+            argv += ["--quarantine", str(dead)]
+        status = main(argv)
+        captured = capsys.readouterr()
+        letters = [
+            {k: v for k, v in json.loads(line).items() if k != "payload"}
+            for line in (dead.read_text().splitlines() if dead.exists()
+                         else [])
+        ]
+        return status, captured.out, captured.err, letters
+
+    @pytest.mark.parametrize("stream", [False, True])
+    @pytest.mark.parametrize("canonical", [True, False])
+    @pytest.mark.parametrize("field", ["time", "output"])
+    @pytest.mark.parametrize("policy", ["skip", "strict"])
+    def test_integer_past_float_range_is_judged_like_infinity(
+        self, tmp_path, capsys, stream, canonical, field, policy
+    ):
+        """A 400-digit integer fails the float conversion; it must be
+        quarantined (or fail strict ingest) exactly as ``Infinity``
+        is, not crash ``mine`` with an OverflowError."""
+        dead = tmp_path / "dead.jsonl"
+        extra = ["--on-error", policy] + (["--stream"] if stream else [])
+        runs = [
+            self._mine(
+                capsys,
+                self._log_with_value(tmp_path, number, field, canonical),
+                dead,
+                *extra,
+            )
+            for number in ("Infinity", "9" * 400)
+        ]
+        assert runs[0] == runs[1]
+        status, _, err, letters = runs[1]
+        if policy == "skip":
+            assert status == 3
+            assert [(d["reason"], d["line_number"]) for d in letters] == [
+                (REASON_BAD_LINE, 27)
+            ]
+            assert "must be finite, got inf" in letters[0]["detail"]
+        else:
+            assert status == 1
+            what = "time" if field == "time" else "output entry"
+            assert err == f"error: line 27: {what} must be finite, got inf\n"
+
+    @pytest.mark.parametrize(
+        "value",
+        ["9" * 5000, "[" * 100_000],
+        ids=["past-int-digit-limit", "past-recursion-limit"],
+    )
+    def test_undecodable_json_value_is_a_bad_line(
+        self, tmp_path, capsys, value
+    ):
+        """``json.loads`` raises ValueError, not JSONDecodeError, for an
+        int of more than 4,300 digits, and RecursionError for deep
+        nesting: each line is invalid JSON, with a bounded message."""
+        path = self._log_with_value(tmp_path, value, "time", False)
+        dead = tmp_path / "dead.jsonl"
+        status, _, err, letters = self._mine(
+            capsys, path, dead, "--on-error", "skip"
+        )
+        assert status == 3
+        assert [d["reason"] for d in letters] == [REASON_BAD_LINE]
+        assert letters[0]["detail"].startswith("line 27: invalid JSON:")
+        assert len(letters[0]["detail"]) < 300
+        assert "quarantined=1 lines" in err
+
 
 class TestIngestFileHelpers:
     def test_ingest_log_file_roundtrip(self, tmp_path):

@@ -891,3 +891,55 @@ class TestDaemon:
             stdout, stderr = self.stop(restarted)
         assert restarted.returncode == 0, stderr
         assert f"recovered {PROCESS}" in stderr
+
+    def test_integer_past_float_range_is_a_bad_line(self, tmp_path):
+        """A ``time`` too large for a float is quarantined like
+        ``Infinity``; the tenant's worker keeps folding later batches
+        and SIGTERM still checkpoints."""
+        big = "9" * 400
+        bad = [
+            '{"activity": "A", "execution": "bad", "output": null, '
+            f'"process": "{PROCESS}", "time": {big}, "type": "START"}}',
+            f'{{"type": "START", "time": {big}, "process": "{PROCESS}", '
+            '"output": null, "execution": "bad", "activity": "A"}',
+        ]
+        lines = event_lines(SEQUENCES)
+        cut = sum(2 * len(sequence) for sequence in SEQUENCES[:3])
+        batches = [lines[:cut] + bad, lines[cut:]]
+        data_dir = tmp_path / "data"
+        port_file = tmp_path / "port"
+        daemon = self.start(data_dir, port_file)
+        try:
+            client = self.ready_client(port_file)
+            for batch in batches:
+                assert client.push_lines(PROCESS, batch).status == 202
+            stats = client.flush(PROCESS)
+            model = client.model_text(PROCESS, fmt="edges")
+        finally:
+            stdout, stderr = self.stop(daemon)
+        assert daemon.returncode == 0, stderr
+        assert f"checkpointed {PROCESS!r}" in stderr
+        assert stats["errors"] == []
+        assert stats["executions"] == len(SEQUENCES)
+        assert stats["quarantined_lines"] == len(bad)
+        assert stats["quarantine_reasons"] == {"bad-line": len(bad)}
+
+        log = tmp_path / "posted.jsonl"
+        log.write_text("\n".join(batches[0] + batches[1]) + "\n")
+        mined = subprocess.run(
+            [
+                sys.executable, "-m", "repro.cli", "mine", str(log),
+                "--stream", "--on-error", "skip", "--format", "edges",
+            ],
+            env=dict(
+                os.environ,
+                PYTHONPATH=str(
+                    Path(__file__).resolve().parents[1] / "src"
+                ),
+            ),
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert mined.returncode == 3, mined.stderr
+        assert model == mined.stdout.encode("utf-8")
